@@ -138,20 +138,6 @@ class McmcConfig:
 
 
 @dataclass
-class ParameterState:
-    """One draw of all model parameters."""
-
-    beta: float
-    alpha: np.ndarray
-    delta: np.ndarray
-    sigma0: float
-    sigma_a: float
-    sigma_d: float
-    df: Optional[float] = None
-    latent_scales: Optional[np.ndarray] = None
-
-
-@dataclass
 class ChainDraws:
     """Kept draws of one chain, stored columnwise."""
 
@@ -165,17 +151,6 @@ class ChainDraws:
 
     def __len__(self) -> int:
         return len(self.beta)
-
-    def state(self, i: int) -> ParameterState:
-        return ParameterState(
-            beta=float(self.beta[i]),
-            alpha=self.alpha[i].copy(),
-            delta=self.delta[i].copy(),
-            sigma0=float(self.sigma0[i]),
-            sigma_a=float(self.sigma_a[i]),
-            sigma_d=float(self.sigma_d[i]),
-            df=None if self.df is None else float(self.df[i]),
-        )
 
 
 @dataclass

@@ -34,10 +34,26 @@ def _emit(text: str, out: str | None):
 
 
 def _load_error_table(path: str) -> data.ErrorTable:
-    table = data.ingest_error_table(_read(path))
+    return _nonempty(data.ingest_error_table(_read(path)))
+
+
+def _nonempty(table):
     if len(table) == 0:
         raise InputError("empty input: no data rows")
     return table
+
+
+def _friedman_then_nemenyi(r, alpha: float, format_: str) -> list:
+    """Friedman report, then the Nemenyi pairs if it rejects at ``alpha``."""
+    result = nhst.friedman_test(r)
+    if result.p_value < alpha:
+        post_hoc = render.render_pairwise(nhst.nemenyi_pairwise(r), format_, alpha=alpha)
+    else:
+        post_hoc = (
+            f"# Friedman p={render.fmt(result.p_value)} >= alpha={alpha}: "
+            "Nemenyi post-hoc skipped\n"
+        )
+    return [render.render_friedman(result, format_), post_hoc]
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
@@ -116,17 +132,7 @@ def cmd_nhst(input_path, rank_scheme, alpha, format_, out):
     matrix = data.aggregate_errors(table)
     rank_fn = ranks.average_ranks if rank_scheme == "average" else ranks.dense_ranks
     r = rank_fn(matrix).complete_cases()
-    result = nhst.friedman_test(r)
-    parts = [render.render_friedman(result, format_)]
-    if result.p_value < alpha:
-        pairwise = nhst.nemenyi_pairwise(r)
-        parts.append(render.render_pairwise(pairwise, format_, alpha=alpha))
-    else:
-        parts.append(
-            f"# Friedman p={render.fmt(result.p_value)} >= alpha={alpha}: "
-            "Nemenyi post-hoc skipped\n"
-        )
-    _emit("\n".join(parts), out)
+    _emit("\n".join(_friedman_then_nemenyi(r, alpha, format_)), out)
 
 
 @cli.command("threshold")
@@ -251,25 +257,11 @@ def cmd_ppc(draws_path, input_path, n_draws, seed, scatter, out):
 @_out_option
 def cmd_timing(input_path, metric, alpha, format_, out):
     """Mean-rank and Nemenyi analysis of execution times, subsets as subjects."""
-    table = data.ingest_timing_table(_read(input_path))
-    if len(table) == 0:
-        raise InputError("empty input: no data rows")
+    table = _nonempty(data.ingest_timing_table(_read(input_path)))
     matrix = data.matrix_from_timings(table, metric)
     r = ranks.average_ranks(matrix).complete_cases()
-    summary = ranks.mean_rank_summary(r)
-    result = nhst.friedman_test(r)
-    parts = [
-        render.render_rank_summary(summary, format_),
-        render.render_friedman(result, format_),
-    ]
-    if result.p_value < alpha:
-        parts.append(render.render_pairwise(nhst.nemenyi_pairwise(r), format_, alpha=alpha))
-    else:
-        parts.append(
-            f"# Friedman p={render.fmt(result.p_value)} >= alpha={alpha}: "
-            "Nemenyi post-hoc skipped\n"
-        )
-    _emit("\n".join(parts), out)
+    summary = render.render_rank_summary(ranks.mean_rank_summary(r), format_)
+    _emit("\n".join([summary] + _friedman_then_nemenyi(r, alpha, format_)), out)
 
 
 @cli.command("synth")

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -76,13 +75,19 @@ class TimingRecord:
 class _RecordTable:
     """Immutable collection of records keyed by (dataset, algorithm, subset)."""
 
-    def __init__(self, records: Iterable):
+    def __init__(self, records: Iterable, lines: Optional[list] = None):
+        """``lines`` holds each record's input file line, for error messages."""
         self.records = tuple(records)
         self._index = {}
-        for rec in self.records:
+        for n, rec in enumerate(self.records):
             key = (rec.dataset, rec.algorithm, rec.subset)
             if key in self._index:
-                raise InputError(f"duplicate key {key}")
+                if lines is None:
+                    raise InputError(f"duplicate key {key}")
+                first = next(i for i, r in enumerate(self.records) if r is self._index[key])
+                raise InputError(
+                    f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first]})"
+                )
             self._index[key] = rec
         self.datasets = tuple(sorted({r.dataset for r in self.records}))
         self.algorithms = tuple(sorted({r.algorithm for r in self.records}))
@@ -160,17 +165,8 @@ class ValidationReport:
         return not self.missing_cells
 
 
-def _parse_fraction(text: str, column: str, line_no: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise InputError(f"line {line_no}: malformed {column} value {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"line {line_no}: {column} outside [0,1]: {value}")
-    return value
-
-
-def _open_csv(source) -> Iterable:
+def _csv_reader(source):
+    """A csv reader over ``source`` whose ``line_num`` is the file line."""
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
             source = source.decode("utf-8")
@@ -180,9 +176,65 @@ def _open_csv(source) -> Iterable:
     else:
         # byte stream
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    # '#' comment lines (e.g. the synth-spec echo) are transparent to parsing;
-    # blank lines are yielded so csv line numbers stay aligned with the file
-    return (line for line in stream if not line.lstrip().startswith("#"))
+    # '#' comment lines (e.g. the synth-spec echo) reach the reader as blank
+    # lines, which the parser skips, so its line count stays the file's
+    return csv.reader("\n" if line.lstrip().startswith("#") else line for line in stream)
+
+
+def _number(kind, text: str, column: str):
+    try:
+        return kind(text)  # float and int ignore surrounding whitespace
+    except ValueError:
+        raise InputError(f"malformed {column} value {text.strip()!r}") from None
+
+
+def _ingest(source, headers: tuple, values, record, table):
+    """The one parser of long-form tables; every error names its file line.
+
+    The first nonblank record must equal one of ``headers``.  Each row starts
+    with dataset, algorithm and subset; ``values`` converts the row's
+    remaining fields into the rest of ``record``'s arguments, and ``record``
+    checks their ranges.
+    """
+    reader = _csv_reader(source)
+    header, records, lines = None, [], []
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if header is None:
+            header = [h.strip() for h in row]
+            if header not in headers:
+                raise InputError(f"unexpected header {header!r}, want {headers[0]!r}")
+            continue
+        try:
+            if len(row) != len(header):
+                raise InputError(f"expected {len(header)} fields, got {len(row)}")
+            dataset, algorithm, subset = row[0].strip(), row[1].strip(), row[2].strip()
+            if not dataset or not algorithm:
+                raise InputError("empty identifier")
+            if subset not in ("1", "2"):
+                raise InputError(f"unknown subset value {subset!r}")
+            records.append(record(dataset, algorithm, int(subset), *values(row)))
+        except InputError as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from None
+        lines.append(reader.line_num)
+    if header is None:
+        raise InputError("empty input: missing header")
+    return table(records, lines)
+
+
+def _error_values(row: list) -> tuple:
+    test_error = _number(float, row[3], "test_error")
+    cv = row[4].strip() if len(row) > 4 else ""
+    return test_error, _number(float, cv, "cv_error") if cv else None
+
+
+def _timing_values(row: list) -> tuple:
+    return (
+        _number(float, row[3], "train_test_seconds"),
+        _number(float, row[4], "hyper_search_seconds"),
+        _number(int, row[5], "n_hyper_combos"),
+    )
 
 
 def ingest_error_table(source) -> ErrorTable:
@@ -192,86 +244,14 @@ def ingest_error_table(source) -> ErrorTable:
     cv_error field may be empty.  The cv_error column itself may be absent
     (degraded mode: CV-based thresholds are then unavailable).
     """
-    reader = csv.reader(_open_csv(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty input: missing header") from None
-    header = [h.strip() for h in header]
-    has_cv = header == ERROR_HEADER
-    if not has_cv and header != ERROR_HEADER[:4]:
-        raise InputError(f"unexpected header {header!r}, want {ERROR_HEADER!r}")
-
-    records = []
-    seen = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        expected = 5 if has_cv else 4
-        if len(row) != expected:
-            raise InputError(f"line {line_no}: expected {expected} fields, got {len(row)}")
-        dataset, algorithm = row[0].strip(), row[1].strip()
-        if not dataset or not algorithm:
-            raise InputError(f"line {line_no}: empty identifier")
-        subset_text = row[2].strip()
-        if subset_text not in ("1", "2"):
-            raise InputError(f"line {line_no}: unknown subset value {subset_text!r}")
-        subset = int(subset_text)
-        test_error = _parse_fraction(row[3].strip(), "test_error", line_no)
-        cv_error = None
-        if has_cv and row[4].strip():
-            cv_error = _parse_fraction(row[4].strip(), "cv_error", line_no)
-        key = (dataset, algorithm, subset)
-        if key in seen:
-            raise InputError(
-                f"line {line_no}: duplicate key {key} (first seen at line {seen[key]})"
-            )
-        seen[key] = line_no
-        records.append(ErrorRecord(dataset, algorithm, subset, test_error, cv_error))
-    return ErrorTable(records)
+    return _ingest(
+        source, (ERROR_HEADER, ERROR_HEADER[:4]), _error_values, ErrorRecord, ErrorTable
+    )
 
 
 def ingest_timing_table(source) -> TimingTable:
     """Parse a long-form timing CSV into a :class:`TimingTable`."""
-    reader = csv.reader(_open_csv(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("empty input: missing header") from None
-    if [h.strip() for h in header] != TIMING_HEADER:
-        raise InputError(f"unexpected header {header!r}, want {TIMING_HEADER!r}")
-
-    records = []
-    seen = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 6:
-            raise InputError(f"line {line_no}: expected 6 fields, got {len(row)}")
-        dataset, algorithm = row[0].strip(), row[1].strip()
-        subset_text = row[2].strip()
-        if subset_text not in ("1", "2"):
-            raise InputError(f"line {line_no}: unknown subset value {subset_text!r}")
-        try:
-            train_test = float(row[3])
-            hyper = float(row[4])
-            combos = int(row[5])
-        except ValueError:
-            raise InputError(f"line {line_no}: malformed numeric field") from None
-        if train_test < 0 or hyper < 0:
-            raise InputError(f"line {line_no}: negative time")
-        if combos < 1:
-            raise InputError(f"line {line_no}: n_hyper_combos must be >= 1")
-        key = (dataset, algorithm, int(subset_text))
-        if key in seen:
-            raise InputError(
-                f"line {line_no}: duplicate key {key} (first seen at line {seen[key]})"
-            )
-        seen[key] = line_no
-        records.append(
-            TimingRecord(dataset, algorithm, int(subset_text), train_test, hyper, combos)
-        )
-    return TimingTable(records)
+    return _ingest(source, (TIMING_HEADER,), _timing_values, TimingRecord, TimingTable)
 
 
 def aggregate_errors(table: ErrorTable) -> AggregatedMatrix:

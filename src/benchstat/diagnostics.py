@@ -14,7 +14,6 @@ from .errors import InputError
 @dataclass
 class PsrfResult:
     point_estimate: Optional[float]  # None when undefined (zero within-chain variance)
-    upper_ci: Optional[float] = None  # absent in the base estimator
 
     @property
     def defined(self) -> bool:

@@ -2,19 +2,17 @@
 
 The Nemenyi p-values come from the studentized range distribution with
 infinite degrees of freedom, i.e. the range of k independent standard
-normals, whose tail is computed by numerical quadrature.
+normals, whose tail is scipy's ``scipy.stats.studentized_range``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InputError
 from .ranks import RankMatrix
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass
@@ -64,31 +62,23 @@ def chi_square_cdf(x: float, k: int) -> float:
     return float(special.gammainc(k / 2.0, x / 2.0))
 
 
-def _normal_cdf(z):
-    return 0.5 * special.erfc(-z / _SQRT2)
-
-
-def studentized_range_sf(q: float, k: int) -> float:
+def studentized_range_sf(q, k: int):
     """Upper-tail probability of the range of k independent standard normals.
 
-    P(range <= q) = k * Integral phi(z) * [Phi(z) - Phi(z - q)]^(k-1) dz,
-    evaluated by adaptive quadrature over z in [-12, 12] (the integrand is
-    smooth and decays like the normal density).  Absolute error <= 1e-6.
+    This is scipy's studentized range distribution with infinite degrees of
+    freedom.  ``q`` may be a scalar (a float is returned) or an array.
     """
-    if q < 0:
+    q = np.asarray(q, dtype=float)
+    if (q < 0).any():
         raise InputError(f"studentized_range_sf requires q >= 0, got {q}")
     if k < 2:
         raise InputError(f"studentized_range_sf requires k >= 2, got {k}")
-    if q == 0.0:
-        return 1.0
+    # scipy.stats takes about a second to import and only the Nemenyi
+    # post-hoc needs it, so commands that never reach it do not pay for it
+    from scipy.stats import studentized_range
 
-    def integrand(z):
-        inner = _normal_cdf(z) - _normal_cdf(z - q)
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * inner ** (k - 1)
-
-    cdf, _ = integrate.quad(integrand, -12.0, 12.0, epsabs=1e-9, epsrel=1e-9, limit=200)
-    cdf *= k
-    return float(min(1.0, max(0.0, 1.0 - cdf)))
+    p = studentized_range.sf(q, k, np.inf)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def _mean_ranks(r: RankMatrix) -> tuple:
@@ -126,10 +116,8 @@ def nemenyi_pairwise(r: RankMatrix) -> PairwiseMatrix:
     """
     mean_ranks, n, k = _mean_ranks(r)
     se = np.sqrt(k * (k + 1) / (6.0 * n))
+    i, j = np.triu_indices(k, 1)
+    q = np.abs(mean_ranks[i] - mean_ranks[j]) / se * np.sqrt(2.0)
     values = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            q = abs(mean_ranks[i] - mean_ranks[j]) / se * _SQRT2
-            p = studentized_range_sf(q, k)
-            values[i, j] = values[j, i] = p
+    values[i, j] = values[j, i] = studentized_range_sf(q, k)
     return PairwiseMatrix(r.algorithms, values, "nemenyi_p")

@@ -61,47 +61,34 @@ class RankMatrix:
         )
 
 
-def _dense_rank_row(values: np.ndarray) -> np.ndarray:
-    """Dense ranks of one dataset's (rounded) values; ties share a rank."""
+def _rank_row(values: np.ndarray, scheme: str) -> np.ndarray:
+    """Ranks of one dataset's present values; NaN cells stay unranked.
+
+    Dense ranks give tied values one shared slot (1, 1, 2, ...); average
+    ranks give them the mean of the positions they span (1.5, 1.5, 3, ...).
+    """
     ranks = np.full(values.shape, np.nan)
     present = ~np.isnan(values)
-    vals = values[present]
-    distinct = np.unique(vals)  # sorted ascending
-    level = {v: r for r, v in enumerate(distinct, start=1)}
-    ranks[present] = [level[v] for v in vals]
-    return ranks
-
-
-def _average_rank_row(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks of one dataset's values; ties get the mean position."""
-    ranks = np.full(values.shape, np.nan)
-    present = ~np.isnan(values)
-    vals = values[present]
-    order = np.argsort(vals, kind="stable")
-    pos = np.empty(len(vals))
-    pos[order] = np.arange(1, len(vals) + 1, dtype=float)
-    for v in np.unique(vals):
-        tied = vals == v
-        pos[tied] = pos[tied].mean()
-    ranks[present] = pos
+    _, inv, counts = np.unique(values[present], return_inverse=True, return_counts=True)
+    if scheme == "dense":
+        ranks[present] = inv + 1
+    else:
+        ranks[present] = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     return ranks
 
 
 def _rank_matrix(m: AggregatedMatrix, scheme: str) -> RankMatrix:
-    ranks = np.full(m.values.shape, np.nan)
+    values = np.where(m.mask, m.values, np.nan)
+    ranks = np.full(values.shape, np.nan)
     skipped = []
     for di, dataset in enumerate(m.datasets):
-        row = m.values[di].copy()
-        row[~m.mask[di]] = np.nan
-        n_present = int(m.mask[di].sum())
-        if n_present < 2:
+        if m.mask[di].sum() < 2:
             skipped.append(dataset)
             continue
+        row = values[di]
         if scheme == "dense":
-            rounded = np.array([np.nan if np.isnan(v) else _round3(v) for v in row])
-            ranks[di] = _dense_rank_row(rounded)
-        else:
-            ranks[di] = _average_rank_row(row)
+            row = np.array([np.nan if np.isnan(v) else _round3(v) for v in row])
+        ranks[di] = _rank_row(row, scheme)
     if skipped:
         warnings.warn(
             f"skipping {len(skipped)} datasets with <2 present algorithms: "

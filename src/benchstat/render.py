@@ -10,8 +10,6 @@ import io
 import json
 from typing import Optional
 
-import numpy as np
-
 from .errors import InputError
 from .nhst import FriedmanResult, PairwiseMatrix
 from .threshold import ThresholdReport
@@ -46,56 +44,46 @@ def _markdown_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_rank_summary(summary, format: str = "csv") -> str:
-    """Table of (algorithm, mean rank, times ranked first)."""
+def _serialise(format: str, header, rows, shape=lambda records: records, note=None) -> str:
+    """Write one table model, a header plus rows, in ``format``.
+
+    JSON is ``shape`` applied to the rows as header-keyed objects, plus a
+    ``note`` key when there is a note.  A None cell is an undefined value:
+    JSON null, "undefined" in csv and markdown.  The note follows the csv
+    table as a comment line and the markdown table as a paragraph.
+    """
     _check_format(format)
     if format == "json":
-        return (
-            json.dumps(
-                [
-                    {"algorithm": a, "mean_rank": fmt(m), "top_count": c}
-                    for a, m, c in summary
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
-    rows = [(a, fmt(m), c) for a, m, c in summary]
-    header = ["algorithm", "mean_rank", "top_count"]
+        obj = shape([dict(zip(header, row)) for row in rows])
+        if note:
+            obj["note"] = note
+        return json.dumps(obj, indent=2) + "\n"
+    rows = [["undefined" if c is None else c for c in row] for row in rows]
     if format == "csv":
-        return _csv_table(header, rows)
-    return _markdown_table(header, rows)
+        return _csv_table(header, rows) + (f"# {note}\n" if note else "")
+    return _markdown_table(header, rows) + (f"\n{note}\n" if note else "")
+
+
+def _single(records):
+    return records[0]
+
+
+def render_rank_summary(summary, format: str = "csv") -> str:
+    """Table of (algorithm, mean rank, times ranked first)."""
+    rows = [(a, fmt(m), c) for a, m, c in summary]
+    return _serialise(format, ["algorithm", "mean_rank", "top_count"], rows)
 
 
 def render_friedman(result: FriedmanResult, format: str = "csv") -> str:
-    _check_format(format)
-    if format == "json":
-        return (
-            json.dumps(
-                {
-                    "statistic": fmt(result.statistic),
-                    "dof": result.dof,
-                    "p_value": fmt(result.p_value),
-                    "n_subjects": result.n_subjects,
-                    "k_treatments": result.k_treatments,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
     header = ["statistic", "dof", "p_value", "n_subjects", "k_treatments"]
-    rows = [
-        (
-            fmt(result.statistic),
-            result.dof,
-            fmt(result.p_value),
-            result.n_subjects,
-            result.k_treatments,
-        )
-    ]
-    if format == "csv":
-        return _csv_table(header, rows)
-    return _markdown_table(header, rows)
+    row = (
+        fmt(result.statistic),
+        result.dof,
+        fmt(result.p_value),
+        result.n_subjects,
+        result.k_treatments,
+    )
+    return _serialise(format, header, [row], _single)
 
 
 def render_pairwise(
@@ -107,59 +95,31 @@ def render_pairwise(
     ``significant`` column when ``alpha`` is given); markdown is the
     triangular matrix with significant entries in bold.
     """
-    _check_format(format)
     flag = alpha is not None and m.kind == "nemenyi_p"
+    names = m.algorithms
     if format == "markdown":
-        names = m.algorithms
-        header = [""] + list(names[:-1])
-        rows = []
-        for i in range(1, len(names)):
-            row = [names[i]]
-            for j in range(len(names) - 1):
-                if j >= i:
-                    row.append("")
-                    continue
-                text = fmt(m.values[i, j])
-                if flag and m.values[i, j] < alpha:
-                    text = f"**{text}**"
-                row.append(text)
-            rows.append(row)
-        return _markdown_table(header, rows)
 
-    pairs = []
-    for i in range(len(m.algorithms)):
-        for j in range(i + 1, len(m.algorithms)):
-            entry = {
-                "algorithm_a": m.algorithms[i],
-                "algorithm_b": m.algorithms[j],
-                "value": fmt(m.values[i, j]),
-            }
-            if flag:
-                entry["significant"] = bool(m.values[i, j] < alpha)
-            pairs.append(entry)
-    if format == "json":
-        return json.dumps({"kind": m.kind, "pairs": pairs}, indent=2) + "\n"
-    header = ["algorithm_a", "algorithm_b", "value"] + (["significant"] if flag else [])
-    rows = [[e[h] for h in header] for e in pairs]
-    return _csv_table(header, rows)
+        def cell(i, j):
+            text = fmt(m.values[i, j])
+            return f"**{text}**" if flag and m.values[i, j] < alpha else text
+
+        header = [""] + list(names[:-1])
+        rows = [
+            [names[i]] + [cell(i, j) if j < i else "" for j in range(len(names) - 1)]
+            for i in range(1, len(names))
+        ]
+    else:
+        header = ["algorithm_a", "algorithm_b", "value"] + (["significant"] if flag else [])
+        rows = [
+            [names[i], names[j], fmt(m.values[i, j])]
+            + ([bool(m.values[i, j] < alpha)] if flag else [])
+            for i in range(len(names))
+            for j in range(i + 1, len(names))
+        ]
+    return _serialise(format, header, rows, lambda pairs: {"kind": m.kind, "pairs": pairs})
 
 
 def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
-    _check_format(format)
-    if format == "json":
-        return (
-            json.dumps(
-                {
-                    "median_delta_resample": fmt(report.median_delta_resample),
-                    "median_delta_cv": fmt(report.median_delta_cv),
-                    "threshold": fmt(report.threshold),
-                    "n_pairs_used": report.n_pairs_used,
-                    "n_cv_values": report.n_cv_values,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
     header = [
         "median_delta_resample",
         "median_delta_cv",
@@ -167,62 +127,36 @@ def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
         "n_pairs_used",
         "n_cv_values",
     ]
-    rows = [
-        (
-            fmt(report.median_delta_resample),
-            fmt(report.median_delta_cv),
-            fmt(report.threshold),
-            report.n_pairs_used,
-            report.n_cv_values,
-        )
-    ]
-    if format == "csv":
-        return _csv_table(header, rows)
-    return _markdown_table(header, rows)
+    row = (
+        fmt(report.median_delta_resample),
+        fmt(report.median_delta_cv),
+        fmt(report.threshold),
+        report.n_pairs_used,
+        report.n_cv_values,
+    )
+    return _serialise(format, header, [row], _single)
 
 
 def render_diagnostics(rows, format: str = "csv") -> str:
     """Per-parameter convergence table; a footer notes the omitted
     multivariate PSRF."""
-    _check_format(format)
-    footer = "multivariate PSRF not computed (single-parameter diagnostics only)"
-    if format == "json":
-        return (
-            json.dumps(
-                {
-                    "parameters": [
-                        {
-                            "parameter": r.parameter,
-                            "r_hat": fmt(r.r_hat) if r.r_hat is not None else None,
-                            "ess": fmt(r.ess) if r.ess is not None else None,
-                        }
-                        for r in rows
-                    ],
-                    "note": footer,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    header = ["parameter", "r_hat", "ess"]
     body = [
         (
             r.parameter,
-            fmt(r.r_hat) if r.r_hat is not None else "undefined",
-            fmt(r.ess) if r.ess is not None else "undefined",
+            fmt(r.r_hat) if r.r_hat is not None else None,
+            fmt(r.ess) if r.ess is not None else None,
         )
         for r in rows
     ]
-    if format == "csv":
-        return _csv_table(header, body) + f"# {footer}\n"
-    return _markdown_table(header, body) + f"\n{footer}\n"
+    return _serialise(
+        format,
+        ["parameter", "r_hat", "ess"],
+        body,
+        lambda records: {"parameters": records},
+        note="multivariate PSRF not computed (single-parameter diagnostics only)",
+    )
 
 
 def ppc_scatter_csv(pairs) -> str:
     """``t_real,t_rep`` rows for external scatter plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t_real", "t_rep"])
-    for t_real, t_rep in pairs:
-        writer.writerow([fmt(t_real), fmt(t_rep)])
-    return out.getvalue()
+    return _csv_table(["t_real", "t_rep"], [(fmt(t_real), fmt(t_rep)) for t_real, t_rep in pairs])

@@ -49,6 +49,11 @@ class TestIngestErrorTable:
         with pytest.raises(InputError, match="line 3"):
             ingest_error_table(text)
 
+    def test_duplicate_key_lines_count_comments_and_blanks(self):
+        text = "# a\n" + HEADER + "iris,rf,1,0.05,\n# b\n\niris,rf,1,0.06,\n"
+        with pytest.raises(InputError, match=r"^line 6: duplicate key .*first seen at line 3\)$"):
+            ingest_error_table(text)
+
     def test_value_outside_unit_interval(self):
         with pytest.raises(InputError, match=r"outside \[0,1\]"):
             ingest_error_table(HEADER + "iris,rf,1,1.5,\n")
@@ -76,6 +81,46 @@ class TestIngestErrorTable:
     def test_comment_lines_skipped(self):
         table = ingest_error_table("# generated\n" + HEADER + "iris,rf,1,0.05,\n")
         assert len(table) == 1
+
+
+# schema -> (header, good row maker, malformed rows, ingester)
+SCHEMAS = {
+    "error": (
+        HEADER.strip(),
+        lambda i: f"ds{i},rf,1,0.1,0.2",
+        ["ds9,rf,1,0.1", "ds9,rf,3,0.1,0.2", "ds9,rf,1,x,0.2", "ds9,rf,1,1.5,", ",rf,1,0.1,"],
+        ingest_error_table,
+    ),
+    "timing": (
+        TIMING_HEADER.strip(),
+        lambda i: f"ds{i},rf,1,1.0,2.0,3",
+        ["ds9,rf,1,1.0,2.0", "ds9,rf,0,1,2,3", "ds9,rf,2,a,2.0,3", "ds9,rf,1,1.0,-2.0,3",
+         "ds9,rf,1,1,2,0", "ds9,,1,1.0,2.0,3"],
+        ingest_timing_table,
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schema=st.sampled_from(sorted(SCHEMAS)),
+    gaps=st.lists(
+        st.lists(st.sampled_from(["# note", "#a,b,c", "", "  "]), max_size=3),
+        min_size=4,
+        max_size=4,
+    ),
+    bad_at=st.integers(0, 2),
+    data=st.data(),
+)
+def test_error_names_the_file_line_of_the_malformed_row(schema, gaps, bad_at, data):
+    header, good, malformed, ingest = SCHEMAS[schema]
+    rows = [good(i) for i in range(3)]
+    rows[bad_at] = bad = data.draw(st.sampled_from(malformed))
+    lines = gaps[0] + [header]
+    for gap, row in zip(gaps[1:], rows):
+        lines += gap + [row]
+    with pytest.raises(InputError, match=rf"^line {lines.index(bad) + 1}: "):
+        ingest("\n".join(lines) + "\n")
 
 
 class TestAggregateErrors:
@@ -164,6 +209,11 @@ class TestIngestTimingTable:
     def test_negative_time_rejected(self):
         with pytest.raises(InputError, match="negative time"):
             ingest_timing_table(TIMING_HEADER + "iris,rf,1,-1,120,24\n")
+
+    def test_empty_identifier_rejected(self):
+        for row in (",rf,1,1,1,1\n", "iris, ,1,1,1,1\n"):
+            with pytest.raises(InputError, match="line 2: empty identifier"):
+                ingest_timing_table(TIMING_HEADER + row)
 
     def test_timing_matrix_subjects_are_subsets(self):
         text = TIMING_HEADER + "iris,rf,1,10,120,24\niris,rf,2,20,240,24\n"

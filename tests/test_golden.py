@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from benchstat.cli import main
+from benchstat.diagnostics import DiagnosticRow
+from benchstat.render import render_diagnostics
 
 GOLDEN = Path(__file__).parent / "golden"
 ERRORS = str(GOLDEN / "errors.csv")
@@ -75,6 +77,25 @@ def test_report_bytes_unchanged(name, tmp_path):
     assert produced == expected
     for fname in produced:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_undefined_diagnostics_bytes():
+    rows = [DiagnosticRow("beta", 1.0012345, 812.5), DiagnosticRow("sigma_a", None, None)]
+    note = "multivariate PSRF not computed (single-parameter diagnostics only)"
+    assert render_diagnostics(rows, "csv") == (
+        "parameter,r_hat,ess\nbeta,1.00123,812.5\nsigma_a,undefined,undefined\n"
+        f"# {note}\n"
+    )
+    assert render_diagnostics(rows, "markdown") == (
+        "| parameter | r_hat | ess |\n| --- | --- | --- |\n| beta | 1.00123 | 812.5 |\n"
+        f"| sigma_a | undefined | undefined |\n\n{note}\n"
+    )
+    assert render_diagnostics(rows, "json") == (
+        '{\n  "parameters": [\n    {\n      "parameter": "beta",\n      "r_hat": "1.00123",\n'
+        '      "ess": "812.5"\n    },\n    {\n      "parameter": "sigma_a",\n'
+        '      "r_hat": null,\n      "ess": null\n    }\n  ],\n'
+        f'  "note": "{note}"\n}}\n'
+    )
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from benchstat import (
     AggregatedMatrix,
@@ -83,6 +84,19 @@ class TestAverageRanks:
     def test_no_rounding_in_average_scheme(self):
         r = average_ranks(matrix([[0.1000, 0.1004]]))
         np.testing.assert_array_equal(r.ranks[0], [1, 2])
+
+
+def test_both_schemes_match_scipy_rankdata_with_ties_and_gaps():
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 6, (200, 7)) / 1000.0  # on the grid: heavy ties
+    values[rng.random(values.shape) < 0.15] = np.nan
+    values[:, :2] = 0.002  # at least two present cells, so no dataset is skipped
+    for rank_fn, method in ((average_ranks, "average"), (dense_ranks, "dense")):
+        ranked = rank_fn(matrix(values)).ranks
+        for row, got in zip(values, ranked):
+            present = ~np.isnan(row)
+            np.testing.assert_array_equal(got[present], rankdata(row[present], method=method))
+            assert np.isnan(got[~present]).all()
 
 
 class TestRankInvariance:
