@@ -23,11 +23,6 @@ def fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _check_format(format: str):
-    if format not in FORMATS:
-        raise InputError(f"unknown format {format!r}, want one of {FORMATS}")
-
-
 def _csv_table(header, rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -52,7 +47,8 @@ def _serialise(format: str, header, rows, shape=lambda records: records, note=No
     JSON null, "undefined" in csv and markdown.  The note follows the csv
     table as a comment line and the markdown table as a paragraph.
     """
-    _check_format(format)
+    if format not in FORMATS:
+        raise InputError(f"unknown format {format!r}, want one of {FORMATS}")
     if format == "json":
         obj = shape([dict(zip(header, row)) for row in rows])
         if note:
