@@ -79,6 +79,15 @@ def test_report_bytes_unchanged(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
 
 
+def test_legacy_v1_draws_reproduce_load_report(tmp_path):
+    """A v1 text draws file (the golden bayes case's draws, as first written)
+    still loads to the same report bytes."""
+    out = tmp_path / "legacy.csv"
+    argv = ["bayes", ERRORS, "--load", str(GOLDEN / "legacy-v1.draws"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "bayes-csv.load.csv").read_bytes()
+
+
 def test_undefined_diagnostics_bytes():
     rows = [DiagnosticRow("beta", 1.0012345, 812.5), DiagnosticRow("sigma_a", None, None)]
     note = "multivariate PSRF not computed (single-parameter diagnostics only)"
