@@ -18,8 +18,10 @@ effects to break the additive non-identifiability's slow mixing.
 from __future__ import annotations
 
 import concurrent.futures
+import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -500,15 +502,36 @@ def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMat
 
 # --- persistence -----------------------------------------------------------
 
-_MAGIC = "#benchstat-draws v1"
+_MAGIC = "#benchstat-draws"
+_VERSIONS = ("v1", "v2")
+
+
+def _chain_matrix(chain: ChainDraws) -> np.ndarray:
+    """(n, columns) matrix of one chain in draws-file column order."""
+    columns = [chain.beta, chain.alpha, chain.delta, chain.sigma0, chain.sigma_a, chain.sigma_d]
+    if chain.df is not None:
+        columns.append(chain.df)
+    return np.column_stack(columns)
+
+
+def _chain_from_matrix(rows: np.ndarray, n_alg: int, n_ds: int, robust: bool) -> ChainDraws:
+    """Inverse of :func:`_chain_matrix`; the fields are views of ``rows``."""
+    s = 1 + n_alg + n_ds
+    return ChainDraws(
+        rows[:, 0], rows[:, 1 : 1 + n_alg], rows[:, 1 + n_alg : s],
+        rows[:, s], rows[:, s + 1], rows[:, s + 2], rows[:, s + 3] if robust else None,
+    )
 
 
 def save_draws(p: PosteriorDraws, path):
-    """Write draws to a self-describing columnar text file.
+    """Write draws to a self-describing binary file (format v2).
 
-    One JSON header line (variant, dimensions, seed, config), one column
-    header, then one row per draw per chain with shortest-roundtrip decimal
-    floats, so load_draws reproduces the binary values exactly.
+    One header line ``#benchstat-draws v2 {json}`` (variant, algorithms,
+    datasets, n_chains, draws_per_chain, meta), then one little-endian
+    float64 block in C order of shape (n_chains, draws_per_chain, columns),
+    with the columns beta, alpha:*, delta:*, sigma0, sigma_a, sigma_d and,
+    for the robust variant, df.  The file is written to exactly ``path``,
+    whatever its extension, and load_draws reproduces every value exactly.
     """
     header = {
         "variant": p.variant,
@@ -518,63 +541,89 @@ def save_draws(p: PosteriorDraws, path):
         "draws_per_chain": p.draws_per_chain,
         "meta": p.meta,
     }
-    columns = (
-        ["chain", "beta"]
-        + [f"alpha:{a}" for a in p.algorithms]
-        + [f"delta:{d}" for d in p.datasets]
-        + ["sigma0", "sigma_a", "sigma_d"]
-    )
-    if p.variant == "robust":
-        columns.append("df")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC} {json.dumps(header, sort_keys=True)}\n")
-        fh.write(",".join(columns) + "\n")
-        for ci, chain in enumerate(p.chains):
-            for k in range(len(chain)):
-                row = [str(ci), repr(float(chain.beta[k]))]
-                row += [repr(float(v)) for v in chain.alpha[k]]
-                row += [repr(float(v)) for v in chain.delta[k]]
-                row += [
-                    repr(float(chain.sigma0[k])),
-                    repr(float(chain.sigma_a[k])),
-                    repr(float(chain.sigma_d[k])),
-                ]
-                if p.variant == "robust":
-                    row.append(repr(float(chain.df[k])))
-                fh.write(",".join(row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_MAGIC} v2 {json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
+        for chain in p.chains:
+            fh.write(memoryview(np.ascontiguousarray(_chain_matrix(chain), dtype="<f8")))
 
 
 def load_draws(path) -> PosteriorDraws:
-    """Read back a file written by :func:`save_draws` with exact round-trip."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith(_MAGIC):
+    """Read back a draws file with exact round-trip.
+
+    The format comes from the version token after the magic, not from the
+    file name: v2 is the binary block written by :func:`save_draws`; v1, the
+    earlier text format, is still read but no longer written.  An unreadable
+    file, a bad header or a block that does not match the header's
+    dimensions is an :class:`InputError`.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"draws file not found or unreadable: {path} ({exc.strerror})") from None
+    with fh:
+        magic, _, rest = fh.readline().partition(b" ")
+        version, _, text = rest.partition(b" ")
+        if magic != _MAGIC.encode():
             raise InputError(f"not a benchstat draws file: {path}")
-        header = json.loads(first[len(_MAGIC) :])
-        fh.readline()  # column header
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    variant = header["variant"]
-    algorithms = tuple(header["algorithms"])
-    datasets = tuple(header["datasets"])
-    n_alg, n_ds = len(algorithms), len(datasets)
-    robust = variant == "robust"
-    expected_cols = 2 + n_alg + n_ds + 3 + (1 if robust else 0)
-    if body.shape[1] != expected_cols:
-        raise InputError(f"draws file has {body.shape[1]} columns, want {expected_cols}")
-    chains = []
-    for ci in range(header["n_chains"]):
-        rows = body[body[:, 0] == ci]
-        if len(rows) != header["draws_per_chain"]:
-            raise InputError(f"chain {ci}: draw count mismatch")
-        col = 1
-        beta = rows[:, col]
-        col += 1
-        alpha = rows[:, col : col + n_alg]
-        col += n_alg
-        delta = rows[:, col : col + n_ds]
-        col += n_ds
-        sigma0, sigma_a, sigma_d = rows[:, col], rows[:, col + 1], rows[:, col + 2]
-        col += 3
-        df = rows[:, col] if robust else None
-        chains.append(ChainDraws(beta, alpha, delta, sigma0, sigma_a, sigma_d, df))
+        version = version.decode("utf-8", "replace")
+        if version not in _VERSIONS:
+            raise InputError(
+                f"draws file {path}: format version {version!r}, expected one of {_VERSIONS}"
+            )
+        try:
+            header = json.loads(text)
+            variant = header["variant"]
+            algorithms = tuple(header["algorithms"])
+            datasets = tuple(header["datasets"])
+            n_chains, per_chain = int(header["n_chains"]), int(header["draws_per_chain"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"draws file {path}: malformed header ({exc!r})") from None
+        if variant not in ("normal", "robust") or n_chains < 1 or per_chain < 1:
+            raise InputError(
+                f"draws file {path}: header has variant {variant!r}, {n_chains} chains and "
+                f"{per_chain} draws per chain; expected normal or robust and at least 1 each"
+            )
+        n_alg, n_ds, robust = len(algorithms), len(datasets), variant == "robust"
+        n_cols = 1 + n_alg + n_ds + 3 + robust  # see _chain_matrix
+        shape = (n_chains, per_chain, n_cols)
+        read = _read_v1_rows if version == "v1" else _read_v2_block
+        blocks = read(fh, path, shape)
+    chains = [_chain_from_matrix(b, n_alg, n_ds, robust) for b in blocks]
     return PosteriorDraws(variant, algorithms, datasets, chains, header.get("meta", {}))
+
+
+def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
+    """The float64 block after a v2 header line, checked against ``shape``."""
+    want = 8 * math.prod(shape)
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != want:
+        raise InputError(
+            f"draws file {path}: float64 block has {found} bytes, header wants {want} "
+            f"({shape[0]} chains x {shape[1]} draws x {shape[2]} columns x 8)"
+        )
+    block = np.empty(shape, dtype="<f8")
+    fh.readinto(block.data)
+    return block
+
+
+def _read_v1_rows(fh, path, shape: tuple) -> list:
+    """Per-chain rows of a v1 text file after its header line (legacy, read-only).
+
+    v1 has a column-header line, then one comma-separated row per draw of
+    shortest-roundtrip decimals with a leading chain-index column.
+    """
+    text = io.TextIOWrapper(fh, encoding="utf-8")
+    try:
+        text.readline()  # column header
+        body = np.loadtxt(text, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"draws file {path}: {exc}") from None
+    if body.shape[1] != shape[2] + 1:
+        raise InputError(f"draws file {path} has {body.shape[1]} columns, want {shape[2] + 1}")
+    chains = [body[body[:, 0] == ci, 1:] for ci in range(shape[0])]
+    for ci, rows in enumerate(chains):
+        if len(rows) != shape[1]:
+            raise InputError(
+                f"draws file {path}: chain {ci} has {len(rows)} draws, want {shape[1]}"
+            )
+    return chains

@@ -227,8 +227,6 @@ def cmd_bayes(
 @_out_option
 def cmd_ppc(draws_path, input_path, n_draws, seed, scatter, out):
     """Chi-square-discrepancy posterior predictive check."""
-    if not Path(draws_path).exists():
-        raise InputError(f"draws file not found: {draws_path}")
     draws = banova.load_draws(draws_path)
     table = _load_error_table(input_path)
     matrix = data.aggregate_errors(table)

@@ -386,22 +386,20 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> ErrorTable:
     return ErrorTable(records)
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field, quoted where csv needs it and where it starts with '#',
+    which the reader would otherwise take for a comment line."""
+    if text.lstrip().startswith("#") or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def error_table_to_csv(table: ErrorTable, comment: Optional[str] = None) -> str:
     """Render an error table back to its CSV wire format."""
-    out = io.StringIO()
-    if comment:
-        for line in comment.splitlines():
-            out.write(f"# {line}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(ERROR_HEADER)
+    lines = [f"# {line}" for line in (comment or "").splitlines()]
+    lines.append(",".join(ERROR_HEADER))
     for rec in table.records:
-        writer.writerow(
-            [
-                rec.dataset,
-                rec.algorithm,
-                rec.subset,
-                repr(rec.test_error),
-                "" if rec.cv_error is None else repr(rec.cv_error),
-            ]
-        )
-    return out.getvalue()
+        cv = "" if rec.cv_error is None else repr(rec.cv_error)
+        fields = [rec.dataset, rec.algorithm, str(rec.subset), repr(rec.test_error), cv]
+        lines.append(",".join(_csv_field(f) for f in fields))
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +234,8 @@ class TestPersistence:
         draws = self._sample(variant)
         path = tmp_path / "draws.csv"
         save_draws(draws, path)
+        assert list(tmp_path.iterdir()) == [path]  # exactly the given name, format v2
+        assert path.read_bytes().startswith(b"#benchstat-draws v2 ")
         loaded = load_draws(path)
         assert loaded.variant == draws.variant
         assert loaded.algorithms == draws.algorithms
@@ -241,8 +245,15 @@ class TestPersistence:
             np.testing.assert_array_equal(c1.alpha, c2.alpha)
             np.testing.assert_array_equal(c1.delta, c2.delta)
             np.testing.assert_array_equal(c1.sigma0, c2.sigma0)
+            np.testing.assert_array_equal(c1.sigma_a, c2.sigma_a)
+            np.testing.assert_array_equal(c1.sigma_d, c2.sigma_d)
             if variant == "robust":
                 np.testing.assert_array_equal(c1.df, c2.df)
+            else:
+                assert c2.df is None
+            for values in (c2.beta, c2.alpha, c2.delta, c2.sigma0, c2.sigma_a, c2.sigma_d):
+                assert values.flags.writeable
+        assert loaded.meta == draws.meta
 
     def test_rope_matrix_identical_after_roundtrip(self, tmp_path):
         draws = self._sample("normal")
@@ -257,6 +268,68 @@ class TestPersistence:
         path.write_text("not a draws file\n")
         with pytest.raises(InputError, match="not a benchstat draws file"):
             load_draws(path)
+
+    def test_v2_block_layout(self, tmp_path):
+        draws = self._sample("robust")
+        path = tmp_path / "draws.bin"
+        save_draws(draws, path)
+        head, _, block = path.read_bytes().partition(b"\n")
+        assert json.loads(head.split(b" ", 2)[2])["draws_per_chain"] == 40
+        block = np.frombuffer(block, dtype="<f8").reshape(2, 40, 1 + 3 + 6 + 3 + 1)
+        c = draws.chains[1]
+        np.testing.assert_array_equal(block[1, :, 0], c.beta)
+        np.testing.assert_array_equal(block[1, :, 1:4], c.alpha)
+        np.testing.assert_array_equal(block[1, :, 4:10], c.delta)
+        scales = np.column_stack([c.sigma0, c.sigma_a, c.sigma_d, c.df])
+        np.testing.assert_array_equal(block[1, :, 10:], scales)
+
+    def test_v1_text_file_still_loads(self, tmp_path):
+        legacy = Path(__file__).parent / "golden" / "legacy-v1.draws"
+        old = load_draws(legacy)
+        assert (old.n_chains, old.draws_per_chain, old.meta["seed"]) == (2, 200, 11)
+        path = tmp_path / "draws.csv"
+        save_draws(old, path)
+        new = load_draws(path)
+        for c1, c2 in zip(old.chains, new.chains):
+            np.testing.assert_array_equal(c1.alpha, c2.alpha)
+            np.testing.assert_array_equal(c1.sigma_d, c2.sigma_d)
+
+    def test_malformed_v1_text_rejected(self, tmp_path):
+        lines = (Path(__file__).parent / "golden" / "legacy-v1.draws").read_text().splitlines(True)
+        lines[5] = "0,x" + lines[5][2:]
+        path = tmp_path / "bad.draws"
+        path.write_text("".join(lines))
+        with pytest.raises(InputError, match="could not convert string"):
+            load_draws(path)
+
+    def _saved_bytes(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        save_draws(self._sample("normal"), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [-8, -3, 3, 8])
+    def test_block_size_mismatch_rejected(self, tmp_path, cut):
+        path, raw = self._saved_bytes(tmp_path)
+        want = 2 * 40 * (1 + 3 + 6 + 3) * 8
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
+        with pytest.raises(InputError, match=f"has {want + cut} bytes, header wants {want} "):
+            load_draws(path)
+
+    def test_header_dimensions_must_match_block(self, tmp_path):
+        path, raw = self._saved_bytes(tmp_path)
+        path.write_bytes(raw.replace(b'"draws_per_chain": 40', b'"draws_per_chain": 39', 1))
+        with pytest.raises(InputError, match=r"header wants \d+ \(2 chains x 39 draws x 13 columns"):
+            load_draws(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path, raw = self._saved_bytes(tmp_path)
+        path.write_bytes(raw.replace(b" v2 ", b" v3 ", 1))
+        with pytest.raises(InputError, match=r"version 'v3', expected one of \('v1', 'v2'\)"):
+            load_draws(path)
+
+    def test_missing_file_is_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="not found"):
+            load_draws(tmp_path / "absent.csv")
 
 
 class TestRobustVariant:

@@ -197,6 +197,11 @@ class TestPpcCommand:
         assert main(["ppc", "/nonexistent/draws.csv", synth_csv]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_bayes_load_missing_draws_file_exit_2(self, synth_csv, capsys):
+        assert main(["bayes", synth_csv, "--load", "/nonexistent/draws.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "not found" in err and "Errno" not in err
+
 
 class TestTimingCommand:
     TIMING_HEADER = (

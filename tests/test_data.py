@@ -82,6 +82,17 @@ class TestIngestErrorTable:
         table = ingest_error_table("# generated\n" + HEADER + "iris,rf,1,0.05,\n")
         assert len(table) == 1
 
+    def test_hash_names_survive_csv_roundtrip(self):
+        text = HEADER + '"#ds1",rf,1,0.1,\nds2,rf,1,0.2,\n"a,b","#x",2,0.3,0.4\n"q""t",rf,2,0.5,\n'
+        table = ingest_error_table(text)
+        written = error_table_to_csv(table)
+        assert written.splitlines()[1] == '"#ds1",rf,1,0.1,'
+        again = ingest_error_table(written)
+        assert len(again) == len(table) == 4
+        assert [(r.dataset, r.algorithm, r.subset, r.test_error, r.cv_error) for r in again] == [
+            (r.dataset, r.algorithm, r.subset, r.test_error, r.cv_error) for r in table
+        ]
+
 
 # schema -> (header, good row maker, malformed rows, ingester)
 SCHEMAS = {
