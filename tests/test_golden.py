@@ -81,11 +81,11 @@ def test_report_bytes_unchanged(name, tmp_path):
 
 def test_legacy_v1_draws_reproduce_load_report(tmp_path):
     """A v1 text draws file (the golden bayes case's draws, as first written)
-    still loads to the same report bytes."""
+    still loads to the report those draws gave when they were written."""
     out = tmp_path / "legacy.csv"
     argv = ["bayes", ERRORS, "--load", str(GOLDEN / "legacy-v1.draws"), "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / "bayes-csv.load.csv").read_bytes()
+    assert out.read_bytes() == (GOLDEN / "legacy-v1.load.csv").read_bytes()
 
 
 def test_undefined_diagnostics_bytes():
