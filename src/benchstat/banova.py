@@ -10,10 +10,13 @@ degrees of freedom, implemented through the normal scale-mixture
 representation with one latent precision multiplier per cell.
 
 Sampling is component-wise: conjugate normal draws for the location
-parameters (vectorized over algorithms and over datasets), univariate slice
-sampling for the scale parameters and the degrees of freedom, plus two exact
-translation moves that trade mass between the grand mean and each block of
-effects to break the additive non-identifiability's slow mixing.
+parameters (vectorized over algorithms and over datasets), an exact draw of
+sigma0 (1/sigma0^2 is Gamma-distributed, truncated to the prior's range),
+univariate slice sampling for sigma_a, sigma_d and the degrees of freedom,
+plus two exact translation moves that trade mass between the grand mean and
+each block of effects to break the additive non-identifiability's slow
+mixing.  The cells are held as a dense (datasets x algorithms) matrix in
+which missing cells carry zero weight.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .data import AggregatedMatrix
 from .errors import ComputationError, InputError
@@ -205,41 +209,58 @@ class PosteriorDraws:
 
 
 class _SliceVar:
-    """Univariate slice sampler with step-out, shrinkage and width adaptation."""
+    """Univariate slice sampler with step-out, shrinkage and width adaptation.
+
+    Counts its updates and log-density evaluations for the sampler counters.
+    """
 
     def __init__(self, width: float, lower: float = 0.0, upper: float = math.inf):
         self.width = width
         self.lower = lower
         self.upper = upper
+        self.updates = 0  # accepted updates
+        self.evals = 0  # log-density evaluations of those updates
+
+    def counters(self) -> dict:
+        return {"evals_per_update": self.evals / self.updates, "width": self.width}
 
     def sample(self, x0: float, logf, rng, adapt: bool) -> float:
+        lower, upper, w = self.lower, self.upper, self.width
         f0 = logf(x0)
         if not math.isfinite(f0):
             raise ComputationError(
                 f"non-finite log-density at slice start x={x0!r} (logf={f0!r})"
             )
-        logy = f0 - rng.exponential(1.0)
-        w = self.width
-        left = x0 - w * rng.uniform()
+        logy = f0 - rng.standard_exponential()
+        left = x0 - w * rng.random()
         right = left + w
+        evals = 1
         # step out, respecting the support bounds
         for _ in range(64):
-            if left <= self.lower or logf(max(left, self.lower)) <= logy:
+            if left <= lower:
+                break
+            evals += 1
+            if logf(left) <= logy:
                 break
             left -= w
         for _ in range(64):
-            if right >= self.upper or logf(min(right, self.upper)) <= logy:
+            if right >= upper:
+                break
+            evals += 1
+            if logf(right) <= logy:
                 break
             right += w
-        left = max(left, self.lower)
-        right = min(right, self.upper)
+        left = max(left, lower)
+        right = min(right, upper)
         # shrinkage
         for _ in range(200):
-            x1 = left + (right - left) * rng.uniform()
+            x1 = left + (right - left) * rng.random()
+            evals += 1
             if logf(x1) >= logy:
                 if adapt:
-                    move = abs(x1 - x0)
-                    self.width = max(1e-12, 0.9 * self.width + 0.1 * 2.0 * move)
+                    self.width = max(1e-12, 0.9 * w + 0.2 * abs(x1 - x0))
+                self.updates += 1
+                self.evals += evals
                 return x1
             if x1 < x0:
                 left = x1
@@ -248,9 +269,79 @@ class _SliceVar:
         raise ComputationError(f"slice shrinkage failed to accept around x={x0!r}")
 
 
-def _run_chain(spec: ModelSpec, y, a_idx, d_idx, n_alg, n_ds, cfg: McmcConfig, seed):
+def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> float:
+    """One exact draw of Gamma(shape, rate) truncated to [lo, hi], 0 < lo < hi.
+
+    First one untruncated draw, kept when it lands in [lo, hi] (it is then a
+    draw of the truncated law).  Otherwise the inverse CDF, through the upper
+    regularised incomplete gamma when the interval starts above ``shape`` so
+    that tail probabilities keep their relative precision.  When the interval
+    lies so far in a tail that its probability underflows, rejection from a
+    linear upper bound of the log-density instead (see :func:`_far_tail_gamma`).
+    """
+    tau = rng.standard_gamma(shape) / rate
+    if lo <= tau <= hi:
+        return tau
+    a, b = rate * lo, rate * hi
+    u = rng.random()
+    if a > shape:
+        q_a, q_b = float(special.gammaincc(shape, a)), float(special.gammaincc(shape, b))
+        if q_a > q_b:
+            x = float(special.gammainccinv(shape, q_b + (q_a - q_b) * u))
+            return min(max(x / rate, lo), hi)
+    else:
+        p_a, p_b = float(special.gammainc(shape, a)), float(special.gammainc(shape, b))
+        if p_b > p_a:
+            x = float(special.gammaincinv(shape, p_a + (p_b - p_a) * u))
+            return min(max(x / rate, lo), hi)
+    return _far_tail_gamma(rng, shape, a, b) / rate
+
+
+def _far_tail_gamma(rng, shape: float, a: float, b: float) -> float:
+    """Standard Gamma(shape) truncated to [a, b], by rejection.
+
+    The envelope is exp of a line above g(x) = (shape - 1) log x - x on
+    [a, b]: the tangent at the point nearest the mode when g is concave
+    (shape >= 1), the chord through both ends when it is convex.  Far in a
+    tail, where :func:`_truncated_gamma` calls this, the mass sits within a
+    small fraction of the interval end and almost every proposal is accepted.
+    """
+    def g(x):
+        return (shape - 1.0) * math.log(x) - x
+
+    if shape >= 1.0:
+        e = min(max(shape - 1.0, a), b)
+        slope = (shape - 1.0) / e - 1.0
+    else:
+        e = a
+        slope = (g(b) - g(a)) / (b - a)
+    width = b - a
+    for _ in range(1000):
+        v = rng.random()
+        if slope == 0.0:
+            x = a + v * width
+        else:  # truncated exponential, measured from its denser end
+            t = math.log1p(v * math.expm1(-abs(slope) * width)) / abs(slope)
+            x = b + t if slope > 0.0 else a - t
+        if g(x) - g(e) - slope * (x - e) >= -rng.standard_exponential():
+            return x
+    raise ComputationError(f"truncated Gamma({shape!r}) draw on [{a!r}, {b!r}] did not accept")
+
+
+def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
+    """One chain on the dense (datasets x algorithms) cell matrix ``y``.
+
+    ``y`` is 0 and the latent precisions ``lam`` are 0 on missing cells, so
+    those cells drop out of every weighted sum; the normal variant keeps
+    ``lam`` at the 0/1 mask.  With W = lam / sigma0^2 the conditional sums of
+    the location updates are row and column sums of W and W*y and the two
+    matrix-vector products ``delta @ W`` and ``W @ alpha``.  Returns the kept
+    draws and the slice samplers' counters.
+    """
     rng = np.random.default_rng(seed)
-    n = len(y)
+    n_ds, n_alg = y.shape
+    mask = present.astype(float)
+    n = int(present.sum())
     robust = spec.variant == "robust"
 
     beta = spec.y_mean
@@ -261,116 +352,111 @@ def _run_chain(spec: ModelSpec, y, a_idx, d_idx, n_alg, n_ds, cfg: McmcConfig, s
     sigma_a = cfg.fixed_sigma_a if cfg.fixed_sigma_a is not None else spec.y_sd / 2.0
     sigma_d = cfg.fixed_sigma_d if cfg.fixed_sigma_d is not None else spec.y_sd / 2.0
     df = cfg.fixed_df if cfg.fixed_df is not None else 30.0
-    lam = np.ones(n)
+    lam = mask
+    lam_floor = mask * 1e-300  # keeps log(lam) finite on present cells
+    missing = 1.0 - mask  # log(lam + missing) is 0 on missing cells
 
     beta_prec0 = 1.0 / spec.beta_sd**2
     eff_shape = spec.sigma_effect_shape
     eff_rate = spec.sigma_effect_rate
+    # exact sigma0 | rest: tau = 1/sigma0^2 ~ Gamma((n-1)/2, ss/2) on [tau_lo, tau_hi]
+    tau_lo, tau_hi = spec.sigma0_high**-2, spec.sigma0_low**-2
 
     w0 = spec.y_sd / 4.0
-    slice_sigma0 = _SliceVar(w0, lower=spec.sigma0_low, upper=spec.sigma0_high)
     scale_floor = spec.y_sd * 1e-9  # keeps 1/s^2 finite in the slice evals
-    slice_sigma_a = _SliceVar(w0, lower=scale_floor)
-    slice_sigma_d = _SliceVar(w0, lower=scale_floor)
-    slice_df = _SliceVar(10.0, lower=1e-6)
+    slices = {"sigma_a": _SliceVar(w0, lower=scale_floor), "sigma_d": _SliceVar(w0, lower=scale_floor)}
+    if robust:
+        slices["df"] = _SliceVar(10.0, lower=1e-6)
 
     total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
-    kept_beta = np.empty(cfg.kept)
-    kept_alpha = np.empty((cfg.kept, n_alg))
-    kept_delta = np.empty((cfg.kept, n_ds))
-    kept_sigma0 = np.empty(cfg.kept)
-    kept_sigma_a = np.empty(cfg.kept)
-    kept_sigma_d = np.empty(cfg.kept)
-    kept_df = np.empty(cfg.kept) if robust else None
-    kept = 0
+    kept = ChainDraws(
+        np.empty(cfg.kept),
+        np.empty((cfg.kept, n_alg)),
+        np.empty((cfg.kept, n_ds)),
+        np.empty(cfg.kept),
+        np.empty(cfg.kept),
+        np.empty(cfg.kept),
+        np.empty(cfg.kept) if robust else None,
+    )
+    k = 0
 
+    ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
+
+    def lam_sums():
+        ly = lam * y
+        col_l, col_ly = np.dot(ones_d, lam), np.dot(ones_d, ly)
+        return col_l, np.dot(lam, ones_a), col_ly, np.dot(ly, ones_a), col_l.sum(), col_ly.sum()
+
+    col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
     for it in range(total):
         adapt = cfg.burn_in <= it < cfg.burn_in + cfg.adaptation
         inv_s0sq = 1.0 / (sigma0 * sigma0)
-        w = lam * inv_s0sq if robust else np.full(n, inv_s0sq)
+        z = rng.standard_normal(1 + n_alg + n_ds + 2)
 
         # beta | rest
-        resid = y - alpha[a_idx] - delta[d_idx]
-        prec = w.sum() + beta_prec0
-        mean = (np.dot(w, resid) + spec.beta_mean * beta_prec0) / prec
-        beta = mean + rng.standard_normal() / math.sqrt(prec)
+        prec = sum_l * inv_s0sq + beta_prec0
+        swr = sum_ly - np.dot(col_l, alpha) - np.dot(row_l, delta)
+        mean = (swr * inv_s0sq + spec.beta_mean * beta_prec0) / prec
+        beta = float(mean + z[0] / math.sqrt(prec))
 
         # alpha | rest (conditionally independent across algorithms)
-        r = y - beta - delta[d_idx]
-        sw = np.bincount(a_idx, weights=w, minlength=n_alg)
-        swr = np.bincount(a_idx, weights=w * r, minlength=n_alg)
-        prec_a = sw + 1.0 / (sigma_a * sigma_a)
-        alpha = swr / prec_a + rng.standard_normal(n_alg) / np.sqrt(prec_a)
+        prec_a = col_l * inv_s0sq + 1.0 / (sigma_a * sigma_a)
+        swr_a = (col_ly - beta * col_l - np.dot(delta, lam)) * inv_s0sq
+        alpha = swr_a / prec_a + z[1 : 1 + n_alg] / np.sqrt(prec_a)
 
         # delta | rest
-        r = y - beta - alpha[a_idx]
-        sw = np.bincount(d_idx, weights=w, minlength=n_ds)
-        swr = np.bincount(d_idx, weights=w * r, minlength=n_ds)
-        prec_d = sw + 1.0 / (sigma_d * sigma_d)
-        delta = swr / prec_d + rng.standard_normal(n_ds) / np.sqrt(prec_d)
+        prec_d = row_l * inv_s0sq + 1.0 / (sigma_d * sigma_d)
+        swr_d = (row_ly - beta * row_l - np.dot(lam, alpha)) * inv_s0sq
+        delta = swr_d / prec_d + z[1 + n_alg : -2] / np.sqrt(prec_d)
 
         # translation moves: shift mass between beta and each effect block
         # (likelihood-invariant direction, sampled from its exact conditional)
         t_prec = n_alg / sigma_a**2 + beta_prec0
         t_mean = (alpha.sum() / sigma_a**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = t_mean + rng.standard_normal() / math.sqrt(t_prec)
+        t = float(t_mean + z[-2] / math.sqrt(t_prec))
         beta += t
         alpha -= t
         t_prec = n_ds / sigma_d**2 + beta_prec0
         t_mean = (delta.sum() / sigma_d**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = t_mean + rng.standard_normal() / math.sqrt(t_prec)
+        t = float(t_mean + z[-1] / math.sqrt(t_prec))
         beta += t
         delta -= t
 
-        resid = y - beta - alpha[a_idx] - delta[d_idx]
+        resid = y - (beta + alpha) - delta[:, None]
+        r2 = resid * resid
 
-        # sigma0 | rest: uniform prior, weighted residual sum of squares
+        # sigma0 | rest: uniform prior, exact truncated-Gamma draw of 1/sigma0^2
         if cfg.fixed_sigma0 is None:
-            ss_w = float(np.dot(lam, resid * resid)) if robust else float(
-                np.dot(resid, resid)
-            )
+            ss = max(float(np.vdot(lam, r2)), 1e-300)
+            sigma0 = 1.0 / math.sqrt(_truncated_gamma(rng, (n - 1) / 2.0, ss / 2.0, tau_lo, tau_hi))
 
-            def logf_sigma0(s, _ss=ss_w, _n=n):
-                return -_n * math.log(s) - _ss / (2.0 * s * s)
-
-            sigma0 = slice_sigma0.sample(sigma0, logf_sigma0, rng, adapt)
-
-        # sigma_a | rest: Gamma(mode/sd) prior on the scale itself
+        # sigma_a, sigma_d | rest: Gamma(mode/sd) prior on the scale itself
         if cfg.fixed_sigma_a is None:
             ss_a = float(np.dot(alpha, alpha))
 
             def logf_sigma_a(s, _ss=ss_a, _k=n_alg):
-                return (
-                    (eff_shape - 1.0) * math.log(s)
-                    - eff_rate * s
-                    - _k * math.log(s)
-                    - _ss / (2.0 * s * s)
-                )
+                return (eff_shape - 1.0 - _k) * math.log(s) - eff_rate * s - _ss / (2.0 * s * s)
 
-            sigma_a = slice_sigma_a.sample(sigma_a, logf_sigma_a, rng, adapt)
+            sigma_a = slices["sigma_a"].sample(sigma_a, logf_sigma_a, rng, adapt)
 
         if cfg.fixed_sigma_d is None:
             ss_d = float(np.dot(delta, delta))
 
             def logf_sigma_d(s, _ss=ss_d, _k=n_ds):
-                return (
-                    (eff_shape - 1.0) * math.log(s)
-                    - eff_rate * s
-                    - _k * math.log(s)
-                    - _ss / (2.0 * s * s)
-                )
+                return (eff_shape - 1.0 - _k) * math.log(s) - eff_rate * s - _ss / (2.0 * s * s)
 
-            sigma_d = slice_sigma_d.sample(sigma_d, logf_sigma_d, rng, adapt)
+            sigma_d = slices["sigma_d"].sample(sigma_d, logf_sigma_d, rng, adapt)
 
         if robust:
-            # latent precision multipliers: conjugate Gamma update
-            rate = (df + (resid * resid) / (sigma0 * sigma0)) / 2.0
-            lam = rng.gamma((df + 1.0) / 2.0, 1.0 / rate)
-            np.clip(lam, 1e-300, None, out=lam)
+            # latent precision multipliers: conjugate Gamma update, 0 on missing cells
+            scale = mask / (0.5 * df + (0.5 / (sigma0 * sigma0)) * r2)
+            lam = rng.standard_gamma((df + 1.0) / 2.0, y.shape) * scale
+            np.maximum(lam, lam_floor, out=lam)
+            col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
 
             if cfg.fixed_df is None:
-                s1 = float(np.log(lam).sum())
-                s2 = float(lam.sum())
+                s1 = float(np.log(lam + missing).sum())
+                s2 = float(sum_l)
 
                 def logf_df(v, _s1=s1, _s2=s2, _n=n):
                     h = v / 2.0
@@ -381,32 +467,27 @@ def _run_chain(spec: ModelSpec, y, a_idx, d_idx, n_alg, n_ds, cfg: McmcConfig, s
                         - v * DF_PRIOR_RATE
                     )
 
-                df = slice_df.sample(df, logf_df, rng, adapt)
+                df = slices["df"].sample(df, logf_df, rng, adapt)
 
         if it >= cfg.burn_in + cfg.adaptation:
             j = it - cfg.burn_in - cfg.adaptation
             if (j + 1) % cfg.thinning == 0:
-                kept_beta[kept] = beta
-                kept_alpha[kept] = alpha
-                kept_delta[kept] = delta
-                kept_sigma0[kept] = sigma0
-                kept_sigma_a[kept] = sigma_a
-                kept_sigma_d[kept] = sigma_d
+                kept.beta[k] = beta
+                kept.alpha[k] = alpha
+                kept.delta[k] = delta
+                kept.sigma0[k] = sigma0
+                kept.sigma_a[k] = sigma_a
+                kept.sigma_d[k] = sigma_d
                 if robust:
-                    kept_df[kept] = df
-                kept += 1
+                    kept.df[k] = df
+                k += 1
 
-    if not np.isfinite(kept_beta).all():
-        raise ComputationError("non-finite draws encountered")
-    return ChainDraws(
-        kept_beta,
-        kept_alpha,
-        kept_delta,
-        kept_sigma0,
-        kept_sigma_a,
-        kept_sigma_d,
-        kept_df,
-    )
+    for name, values in vars(kept).items():
+        if values is not None and not np.isfinite(values).all():
+            raise ComputationError(f"non-finite draws of {name} encountered")
+    pinned = {"sigma_a": cfg.fixed_sigma_a, "sigma_d": cfg.fixed_sigma_d, "df": cfg.fixed_df}
+    counters = {name: v.counters() for name, v in slices.items() if pinned[name] is None}
+    return kept, counters
 
 
 def _chain_job(args):
@@ -423,7 +504,9 @@ def run_chains(
 
     Missing cells contribute no likelihood term.  Each chain draws from its
     own RNG stream derived from the seed, so results do not depend on whether
-    chains run sequentially or in parallel.
+    chains run sequentially or in parallel, nor on how many chains run.
+    ``meta["slice"]`` holds, per chain, the log-density evaluations per slice
+    update and the final slice width of every sampled sigma_a, sigma_d and df.
     """
     if cfg is None:
         cfg = McmcConfig()
@@ -432,28 +515,21 @@ def run_chains(
     # columns/rows permutes the draws exactly (same seed, same RNG stream)
     perm_a = np.argsort(np.asarray(data.algorithms))
     perm_d = np.argsort(np.asarray(data.datasets))
-    values = data.values[np.ix_(perm_d, perm_a)]
-    mask = data.mask[np.ix_(perm_d, perm_a)]
-    di, ai = np.nonzero(mask)
-    y = values[di, ai]
-    if y.size == 0:
+    present = data.mask[np.ix_(perm_d, perm_a)]
+    if not present.any():
         raise InputError("no present cells")
+    y = np.where(present, data.values[np.ix_(perm_d, perm_a)], 0.0)
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
-    jobs = [
-        (spec, y, ai, di, data.n_algorithms, data.n_datasets, cfg, s)
-        for s in child_seeds
-    ]
+    jobs = [(spec, y, present, cfg, s) for s in child_seeds]
     if cfg.n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            chains = list(pool.map(_chain_job, jobs))
+            results = list(pool.map(_chain_job, jobs))
     else:
-        chains = [_chain_job(job) for job in jobs]
+        results = [_chain_job(job) for job in jobs]
     # map effect columns back to the caller's ordering
     inv_a = np.argsort(perm_a)
     inv_d = np.argsort(perm_d)
-    chains = [
-        replace(c, alpha=c.alpha[:, inv_a], delta=c.delta[:, inv_d]) for c in chains
-    ]
+    chains = [replace(c, alpha=c.alpha[:, inv_a], delta=c.delta[:, inv_d]) for c, _ in results]
     meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
@@ -462,6 +538,7 @@ def run_chains(
         "kept": cfg.kept,
         "chains": cfg.chains,
         "seed": seed,
+        "slice": [counters for _, counters in results],
     }
     if cfg.fixed_df is not None:
         meta["fixed_df"] = cfg.fixed_df

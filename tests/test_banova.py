@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from benchstat import (
     AggregatedMatrix,
     InputError,
     McmcConfig,
     build_model,
+    effective_sample_size,
     gamma_shape_rate_from_mode_sd,
     load_draws,
     pairwise_difference_draws,
@@ -17,7 +19,8 @@ from benchstat import (
     run_chains,
     save_draws,
 )
-from benchstat.banova import ChainDraws, PosteriorDraws
+from benchstat.banova import ChainDraws, PosteriorDraws, _truncated_gamma
+from benchstat.errors import ComputationError
 
 
 def make_matrix(values, algorithms=None, datasets=None):
@@ -150,6 +153,116 @@ class TestRunChains:
         for c1, c2 in zip(d1.chains, d2.chains):
             np.testing.assert_array_equal(c1.alpha, c2.alpha)
             np.testing.assert_array_equal(c1.sigma0, c2.sigma0)
+
+
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_draws_do_not_depend_on_chain_count(self, variant):
+        rng = np.random.default_rng(12)
+        m, _ = synthetic_matrix(rng, 3, 8)
+        spec = build_model(m, variant)
+        two = run_chains(spec, m, McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50), seed=4)
+        three = run_chains(spec, m, McmcConfig(chains=3, burn_in=20, adaptation=20, kept=50), seed=4)
+        for c2, c3 in zip(two.chains, three.chains):
+            for name in ("beta", "alpha", "delta", "sigma0", "sigma_a", "sigma_d", "df"):
+                a, b = getattr(c2, name), getattr(c3, name)
+                if variant == "normal" and name == "df":
+                    assert a is None and b is None
+                else:
+                    np.testing.assert_array_equal(a, b)
+        assert two.meta["slice"] == three.meta["slice"][:2]
+
+    @pytest.mark.parametrize("pinned", ["sigma_a", "sigma_d"])
+    def test_non_finite_draws_name_the_parameter(self, pinned):
+        # an infinite pinned scale is the one non-finite kept column
+        rng = np.random.default_rng(13)
+        m, _ = synthetic_matrix(rng, 3, 8)
+        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20, **{f"fixed_{pinned}": math.inf})
+        with pytest.raises(ComputationError, match=f"non-finite draws of {pinned} "):
+            run_chains(build_model(m), m, cfg, seed=0)
+
+    def test_exactly_additive_cells_put_sigma0_at_its_lower_bound(self):
+        # the residuals vanish, so the sigma0 draw is cut so far in the Gamma
+        # tail that the truncated interval's probability underflows
+        rng = np.random.default_rng(14)
+        values = 0.3 + rng.normal(0, 0.05, 16)[None, :] + rng.normal(0, 0.08, 80)[:, None]
+        m = make_matrix(values)
+        spec = build_model(m)
+        draws = run_chains(spec, m, McmcConfig(chains=2, burn_in=50, adaptation=50, kept=100), seed=1)
+        sigma0 = np.concatenate([c.sigma0 for c in draws.chains])
+        assert (sigma0 >= spec.sigma0_low).all() and (sigma0 < 1.2 * spec.sigma0_low).all()
+
+    def test_sigma0_posterior_mean_matches_quadrature(self):
+        """With sigma_a and sigma_d pinned, beta, alpha and delta integrate out
+        exactly: the posterior of sigma0 is its uniform prior times a Gaussian
+        marginal likelihood, whose mean is computed here on a grid."""
+        rng = np.random.default_rng(21)
+        m, _ = synthetic_matrix(rng, 4, 6)
+        m.values[1, 2] = np.nan
+        m.mask[1, 2] = False
+        spec = build_model(m)
+        sigma_a, sigma_d = 0.03, 0.08
+        cfg = McmcConfig(
+            chains=4, burn_in=300, adaptation=300, kept=4000,
+            fixed_sigma_a=sigma_a, fixed_sigma_d=sigma_d,
+        )
+        sigma0 = np.stack([c.sigma0 for c in run_chains(spec, m, cfg, seed=21).chains])
+        mcse = sigma0.std() / math.sqrt(effective_sample_size(sigma0))
+
+        di, ai = np.nonzero(m.mask)
+        y = m.values[di, ai]
+        x = np.zeros((len(y), 1 + m.n_algorithms + m.n_datasets))
+        x[:, 0] = 1.0
+        x[np.arange(len(y)), 1 + ai] = 1.0
+        x[np.arange(len(y)), 1 + m.n_algorithms + di] = 1.0
+        prior_var = np.concatenate(
+            [[spec.beta_sd**2], np.full(m.n_algorithms, sigma_a**2), np.full(m.n_datasets, sigma_d**2)]
+        )
+        # y ~ N(beta_mean, sigma0^2 I + X diag(prior_var) X'), diagonalised once
+        eig, vec = np.linalg.eigh((x * prior_var) @ x.T)
+        proj2 = (vec.T @ (y - spec.beta_mean)) ** 2
+        grid = np.geomspace(spec.sigma0_low, spec.sigma0_high, 20_001)
+        var = grid[:, None] ** 2 + eig[None, :]
+        loglik = -0.5 * (np.log(var) + proj2 / var).sum(axis=1)
+        weight = np.exp(loglik - loglik.max())
+        exact = np.trapezoid(grid * weight, grid) / np.trapezoid(weight, grid)
+        assert abs(sigma0.mean() - exact) < 3 * mcse, (sigma0.mean(), exact, mcse)
+
+
+class TestTruncatedGamma:
+    """The exact sigma0 step: one draw of Gamma(shape, rate) on [lo, hi]."""
+
+    @pytest.mark.parametrize(
+        "shape, rate, lo, hi",
+        [
+            (5.0, 2.0, 0.5, 4.0),  # mode 2 inside the interval
+            (50.0, 1.0, 5.0, 30.0),  # untruncated mode 49 above hi
+            (3.0, 1.0, 6.0, 40.0),  # mode 2 below lo: upper-tail inverse
+            (0.5, 3.0, 0.01, 2.0),  # shape below 1 (two present cells)
+        ],
+    )
+    def test_matches_truncated_cdf(self, shape, rate, lo, hi):
+        p_lo, p_hi = special.gammainc(shape, rate * lo), special.gammainc(shape, rate * hi)
+        rng = np.random.default_rng(17)
+        x = np.array([_truncated_gamma(rng, shape, rate, lo, hi) for _ in range(4000)])
+        assert ((lo <= x) & (x <= hi)).all()
+        cdf = lambda t: (special.gammainc(shape, rate * t) - p_lo) / (p_hi - p_lo)  # noqa: E731
+        assert stats.kstest(x, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "shape, lo, hi",
+        [(800.0, 10.0, 50.0), (3.0, 1000.0, 2000.0), (0.5, 800.0, 900.0)],
+    )
+    def test_far_tail_matches_integrated_cdf(self, shape, lo, hi):
+        # the interval's probability underflows in both tails: the rejection path
+        assert special.gammainc(shape, hi) == 0.0 or special.gammaincc(shape, lo) == 0.0
+        grid = np.linspace(lo, hi, 400_001)
+        logf = (shape - 1.0) * np.log(grid) - grid
+        dens = np.exp(logf - logf.max())
+        cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
+        rng = np.random.default_rng(18)
+        x = np.array([_truncated_gamma(rng, shape, 1.0, lo, hi) for _ in range(4000)])
+        assert ((lo <= x) & (x <= hi)).all()
+        assert stats.kstest(x, lambda t: np.interp(t, grid, cum / cum[-1])).pvalue > 0.01
 
 
 class TestPairwiseDifferences:
@@ -330,6 +443,28 @@ class TestPersistence:
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_draws(tmp_path / "absent.csv")
+
+
+    def test_slice_counters_in_meta(self, tmp_path):
+        draws = self._sample("robust")
+        counters = draws.meta["slice"]
+        assert len(counters) == 2
+        for chain in counters:
+            assert sorted(chain) == ["df", "sigma_a", "sigma_d"]
+            for values in chain.values():
+                assert values["evals_per_update"] >= 2.0  # slice start + an accepted point
+                assert values["width"] > 0.0
+        path = tmp_path / "draws.bin"
+        save_draws(draws, path)
+        assert load_draws(path).meta["slice"] == counters
+        assert self._sample("robust").meta["slice"] == counters  # same seed, same counts
+
+    def test_pinned_parameters_have_no_counters(self):
+        rng = np.random.default_rng(6)
+        m, _ = synthetic_matrix(rng, 3, 6)
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5, fixed_sigma_a=0.03)
+        draws = run_chains(build_model(m), m, cfg, seed=2)
+        assert [sorted(chain) for chain in draws.meta["slice"]] == [["sigma_d"], ["sigma_d"]]
 
 
 class TestRobustVariant:
