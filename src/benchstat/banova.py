@@ -25,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -274,26 +274,24 @@ def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> fl
 
     First one untruncated draw, kept when it lands in [lo, hi] (it is then a
     draw of the truncated law).  Otherwise the inverse CDF, through the upper
-    regularised incomplete gamma when the interval starts above ``shape`` so
-    that tail probabilities keep their relative precision.  When the interval
-    lies so far in a tail that its probability underflows, rejection from a
-    linear upper bound of the log-density instead (see :func:`_far_tail_gamma`).
+    regularised incomplete gamma (the survival function) when the interval
+    starts above ``shape``, so that tail probabilities keep their relative
+    precision.  When the interval lies so far in a tail that its probability
+    underflows, rejection from a linear upper bound of the log-density
+    instead (see :func:`_far_tail_gamma`).
     """
     tau = rng.standard_gamma(shape) / rate
     if lo <= tau <= hi:
         return tau
     a, b = rate * lo, rate * hi
-    u = rng.random()
     if a > shape:
-        q_a, q_b = float(special.gammaincc(shape, a)), float(special.gammaincc(shape, b))
-        if q_a > q_b:
-            x = float(special.gammainccinv(shape, q_b + (q_a - q_b) * u))
-            return min(max(x / rate, lo), hi)
+        cdf, inverse = special.gammaincc, special.gammainccinv
     else:
-        p_a, p_b = float(special.gammainc(shape, a)), float(special.gammainc(shape, b))
-        if p_b > p_a:
-            x = float(special.gammaincinv(shape, p_a + (p_b - p_a) * u))
-            return min(max(x / rate, lo), hi)
+        cdf, inverse = special.gammainc, special.gammaincinv
+    f_a, f_b = float(cdf(shape, a)), float(cdf(shape, b))
+    if f_a != f_b:
+        x = float(inverse(shape, f_a + (f_b - f_a) * rng.random()))
+        return min(max(x / rate, lo), hi)
     return _far_tail_gamma(rng, shape, a, b) / rate
 
 
@@ -333,10 +331,11 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
 
     ``y`` is 0 and the latent precisions ``lam`` are 0 on missing cells, so
     those cells drop out of every weighted sum; the normal variant keeps
-    ``lam`` at the 0/1 mask.  With W = lam / sigma0^2 the conditional sums of
-    the location updates are row and column sums of W and W*y and the two
-    matrix-vector products ``delta @ W`` and ``W @ alpha``.  Returns the kept
-    draws and the slice samplers' counters.
+    ``lam`` at the 0/1 mask.  With W = lam / sigma0^2, the location updates
+    need the row and column sums of W and W*y and the matrix-vector products
+    ``delta @ W`` and ``W @ alpha``: they are taken of ``lam`` (its sums are
+    recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Returns
+    the kept draws and the slice samplers' counters.
     """
     rng = np.random.default_rng(seed)
     n_ds, n_alg = y.shape
@@ -526,10 +525,13 @@ def run_chains(
             results = list(pool.map(_chain_job, jobs))
     else:
         results = [_chain_job(job) for job in jobs]
-    # map effect columns back to the caller's ordering
+    # map effect columns back to the caller's ordering, one chain at a time
     inv_a = np.argsort(perm_a)
     inv_d = np.argsort(perm_d)
-    chains = [replace(c, alpha=c.alpha[:, inv_a], delta=c.delta[:, inv_d]) for c, _ in results]
+    chains = [c for c, _ in results]
+    for c in chains:
+        c.alpha[:] = c.alpha[:, inv_a]
+        c.delta[:] = c.delta[:, inv_d]
     meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
