@@ -363,15 +363,18 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
 
     w0 = spec.y_sd / 4.0
     scale_floor = spec.y_sd * 1e-9  # keeps 1/s^2 finite in the slice evals
-    slices = {"sigma_a": _SliceVar(w0, lower=scale_floor), "sigma_d": _SliceVar(w0, lower=scale_floor)}
-    if robust:
-        slices["df"] = _SliceVar(10.0, lower=1e-6)
+    slices = {
+        "sigma_a": _SliceVar(w0, lower=scale_floor),
+        "sigma_d": _SliceVar(w0, lower=scale_floor),
+        "df": _SliceVar(10.0, lower=1e-6),
+    }
 
     total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
+    # effect draws column-major: every reader takes one effect across draws
     kept = ChainDraws(
         np.empty(cfg.kept),
-        np.empty((cfg.kept, n_alg)),
-        np.empty((cfg.kept, n_ds)),
+        np.empty((cfg.kept, n_alg), order="F"),
+        np.empty((cfg.kept, n_ds), order="F"),
         np.empty(cfg.kept),
         np.empty(cfg.kept),
         np.empty(cfg.kept),
@@ -484,8 +487,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
     for name, values in vars(kept).items():
         if values is not None and not np.isfinite(values).all():
             raise ComputationError(f"non-finite draws of {name} encountered")
-    pinned = {"sigma_a": cfg.fixed_sigma_a, "sigma_d": cfg.fixed_sigma_d, "df": cfg.fixed_df}
-    counters = {name: v.counters() for name, v in slices.items() if pinned[name] is None}
+    counters = {name: v.counters() for name, v in slices.items() if v.updates}  # sampled ones
     return kept, counters
 
 
