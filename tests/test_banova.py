@@ -154,7 +154,6 @@ class TestRunChains:
             np.testing.assert_array_equal(c1.alpha, c2.alpha)
             np.testing.assert_array_equal(c1.sigma0, c2.sigma0)
 
-
     @pytest.mark.parametrize("variant", ["normal", "robust"])
     def test_draws_do_not_depend_on_chain_count(self, variant):
         rng = np.random.default_rng(12)
