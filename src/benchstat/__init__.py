@@ -29,7 +29,6 @@ from .data import (
     ingest_error_table,
     ingest_timing_table,
     matrix_from_timings,
-    validate_matrix,
 )
 from .diagnostics import (
     diagnostic_report,
@@ -41,7 +40,6 @@ from .errors import BenchstatError, ComputationError, InputError
 from .nhst import (
     FriedmanResult,
     PairwiseMatrix,
-    chi_square_cdf,
     chi_square_sf,
     friedman_test,
     nemenyi_pairwise,

@@ -138,9 +138,10 @@ class McmcConfig:
             raise InputError("burn_in and adaptation must be >= 0")
         if self.thinning < 1:
             raise InputError("thinning must be >= 1")
-        total = self.burn_in + self.adaptation + self.kept * self.thinning
-        if total <= self.burn_in:
-            raise InputError("total iterations must exceed burn_in")
+        for name in ("fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN fails too
+                raise InputError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass
@@ -188,24 +189,18 @@ class PosteriorDraws:
         """(total_draws, A) alpha draws concatenated across chains."""
         return np.concatenate([c.alpha for c in self.chains], axis=0)
 
-    def centered_alpha(self) -> np.ndarray:
-        """Alpha draws recentered to zero mean per draw (identified effects)."""
-        pooled = self.pooled_alpha()
-        return pooled - pooled.mean(axis=1, keepdims=True)
+    def scalar_chains(self):
+        """Yield (name, (n_chains, n) array) for every monitored scalar parameter.
 
-    def scalar_chains(self) -> dict:
-        """name -> (n_chains, n) array for every monitored scalar parameter."""
-        out = {"beta": np.stack([c.beta for c in self.chains])}
+        One parameter at a time, so a caller holds one stacked copy, not all.
+        """
+        yield "beta", np.stack([c.beta for c in self.chains])
         for ai, name in enumerate(self.algorithms):
-            out[f"alpha[{name}]"] = np.stack([c.alpha[:, ai] for c in self.chains])
+            yield f"alpha[{name}]", np.stack([c.alpha[:, ai] for c in self.chains])
         for di, name in enumerate(self.datasets):
-            out[f"delta[{name}]"] = np.stack([c.delta[:, di] for c in self.chains])
-        out["sigma0"] = np.stack([c.sigma0 for c in self.chains])
-        out["sigma_a"] = np.stack([c.sigma_a for c in self.chains])
-        out["sigma_d"] = np.stack([c.sigma_d for c in self.chains])
-        if self.variant == "robust":
-            out["df"] = np.stack([c.df for c in self.chains])
-        return out
+            yield f"delta[{name}]", np.stack([c.delta[:, di] for c in self.chains])
+        for name in ("sigma0", "sigma_a", "sigma_d") + (("df",) if self.variant == "robust" else ()):
+            yield name, np.stack([getattr(c, name) for c in self.chains])
 
 
 class _SliceVar:
@@ -466,7 +461,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
                         _n * (h * math.log(h) - math.lgamma(h))
                         + (h - 1.0) * _s1
                         - h * _s2
-                        - v * DF_PRIOR_RATE
+                        - v * spec.df_rate
                     )
 
                 df = slices["df"].sample(df, logf_df, rng, adapt)
@@ -489,10 +484,6 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
             raise ComputationError(f"non-finite draws of {name} encountered")
     counters = {name: v.counters() for name, v in slices.items() if v.updates}  # sampled ones
     return kept, counters
-
-
-def _chain_job(args):
-    return _run_chain(*args)
 
 
 def run_chains(
@@ -524,9 +515,9 @@ def run_chains(
     jobs = [(spec, y, present, cfg, s) for s in child_seeds]
     if cfg.n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(_chain_job, jobs))
+            results = list(pool.map(_run_chain, *zip(*jobs)))
     else:
-        results = [_chain_job(job) for job in jobs]
+        results = [_run_chain(*job) for job in jobs]
     # map effect columns back to the caller's ordering, one chain at a time
     inv_a = np.argsort(perm_a)
     inv_d = np.argsort(perm_d)

@@ -7,6 +7,7 @@ the run can be replayed.
 """
 from __future__ import annotations
 
+import dataclasses
 import secrets
 import sys
 from pathlib import Path
@@ -167,11 +168,6 @@ def cmd_bayes(
     input_path,
     variant,
     rope,
-    chains,
-    burn_in,
-    adaptation,
-    kept,
-    thinning,
     paper_config,
     config_path,
     seed,
@@ -180,6 +176,7 @@ def cmd_bayes(
     threads,
     format_,
     out,
+    **mcmc,
 ):
     """Hierarchical Bayesian ANOVA: ROPE probability matrix plus diagnostics."""
     header = ""
@@ -189,20 +186,11 @@ def cmd_bayes(
         table = _load_error_table(input_path)
         matrix = data.aggregate_errors(table)
         spec = banova.build_model(matrix, variant)
-        cfg = banova.McmcConfig.paper() if paper_config else banova.McmcConfig()
-        if config_path:
-            for key, value in _parse_config_file(config_path).items():
-                setattr(cfg, key, value)
-        for key, value in (
-            ("chains", chains),
-            ("burn_in", burn_in),
-            ("adaptation", adaptation),
-            ("kept", kept),
-            ("thinning", thinning),
-        ):
-            if value is not None:
-                setattr(cfg, key, value)
-        cfg.n_jobs = max(1, threads)
+        base = banova.McmcConfig.paper() if paper_config else banova.McmcConfig()
+        # the --config file first, then the chains/burn-in/... options over it
+        settings = _parse_config_file(config_path) if config_path else {}
+        settings.update((key, value) for key, value in mcmc.items() if value is not None)
+        cfg = dataclasses.replace(base, **settings, n_jobs=max(1, threads))
         seed, header = _resolve_seed(seed)
         draws = banova.run_chains(spec, matrix, cfg, seed=seed)
         if save_path:

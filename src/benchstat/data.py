@@ -145,25 +145,6 @@ class AggregatedMatrix:
     def present_values(self) -> np.ndarray:
         return self.values[self.mask]
 
-    def algorithm_index(self, name: str) -> int:
-        try:
-            return self.algorithms.index(name)
-        except ValueError:
-            raise InputError(f"unknown algorithm: {name!r}") from None
-
-
-@dataclass
-class ValidationReport:
-    """Missing-cell bookkeeping produced by :func:`validate_matrix`."""
-
-    missing_cells: list  # list of (dataset, algorithm)
-    missing_by_algorithm: dict
-    missing_by_dataset: dict
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing_cells
-
 
 def _csv_reader(source):
     """A csv reader over ``source`` whose ``line_num`` is the file line."""
@@ -300,26 +281,6 @@ def matrix_from_timings(table: TimingTable, metric: str) -> AggregatedMatrix:
             values[si, ai] = rec.per_hyper_seconds
         mask[si, ai] = True
     return AggregatedMatrix(algorithms, labels, values, mask)
-
-
-def validate_matrix(m: AggregatedMatrix, policy: str = "allow_missing") -> ValidationReport:
-    """List missing cells; under ``require_complete`` a nonempty list is an error."""
-    if policy not in ("require_complete", "allow_missing"):
-        raise InputError(f"unknown policy: {policy!r}")
-    missing = []
-    by_alg: dict = {}
-    by_ds: dict = {}
-    for di, dataset in enumerate(m.datasets):
-        for ai, algorithm in enumerate(m.algorithms):
-            if not m.mask[di, ai]:
-                missing.append((dataset, algorithm))
-                by_alg.setdefault(algorithm, []).append(dataset)
-                by_ds.setdefault(dataset, []).append(algorithm)
-    report = ValidationReport(missing, by_alg, by_ds)
-    if policy == "require_complete" and missing:
-        cells = ", ".join(f"({d},{a})" for d, a in missing)
-        raise InputError(f"incomplete matrix: {len(missing)} missing cells: {cells}")
-    return report
 
 
 @dataclass

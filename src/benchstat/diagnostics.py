@@ -75,24 +75,15 @@ def _chain_ess(x: np.ndarray) -> float:
     var0 = float(np.dot(x, x)) / n
     if var0 == 0.0:
         raise InputError("effective sample size undefined for a constant chain")
-    # autocovariances via FFT
-    size = 1
-    while size < 2 * n:
-        size *= 2
+    # autocovariances via FFT, zero-padded to the power of two >= 2n
+    size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real / n
+    acov = np.fft.irfft(f * np.conjugate(f), size)[:n] / n
     rho = acov / acov[0]
     # pair sums rho[2m] + rho[2m+1]; truncate at the first nonpositive pair
-    tau = -1.0
-    m = 0
-    while 2 * m + 1 < n:
-        gamma = rho[2 * m] + rho[2 * m + 1]
-        if gamma <= 0.0:
-            break
-        tau += 2.0 * gamma
-        m += 1
-    tau = max(tau, 1.0 / n)
-    return n / tau
+    pairs = rho[0 : n - 1 : 2] + rho[1:n:2]
+    tau = -1.0 + 2.0 * pairs[np.logical_and.accumulate(pairs > 0.0)].sum()
+    return n / max(tau, 1.0 / n)
 
 
 def effective_sample_size(chains) -> float:
@@ -112,16 +103,15 @@ class DiagnosticRow:
     ess: Optional[float]
 
 
-def diagnostic_report(draws: PosteriorDraws, corrected: bool = False, split: bool = False):
+def diagnostic_report(draws: PosteriorDraws):
     """One (name, R-hat, ESS) row per monitored scalar parameter."""
     rows = []
-    for name, chains in draws.scalar_chains().items():
-        r = psrf(chains, corrected=corrected, split=split)
+    for name, chains in draws.scalar_chains():
         try:
             ess = effective_sample_size(chains)
         except InputError:
             ess = None
-        rows.append(DiagnosticRow(name, r.point_estimate, ess))
+        rows.append(DiagnosticRow(name, psrf(chains).point_estimate, ess))
     return rows
 
 
@@ -157,26 +147,22 @@ def posterior_predictive_check(
     total = p.n_chains * p.draws_per_chain
     if n_draws > total:
         raise InputError(f"n_draws {n_draws} exceeds total kept draws {total}")
-    if tuple(p.algorithms) != tuple(data.algorithms) or tuple(p.datasets) != tuple(
-        data.datasets
-    ):
+    if p.algorithms != data.algorithms or p.datasets != data.datasets:
         raise InputError("draws and data matrix label mismatch")
 
     rng = np.random.default_rng(seed)
     di, ai = np.nonzero(data.mask)
     y = data.values[di, ai]
-    beta = np.concatenate([c.beta for c in p.chains])
-    alpha = p.pooled_alpha()
-    delta = np.concatenate([c.delta for c in p.chains], axis=0)
-    sigma0 = np.concatenate([c.sigma0 for c in p.chains])
-
     picks = rng.choice(total, size=n_draws, replace=False)
     pairs = []
     greater = 0
     negative = 0
     for idx in picks:
-        nu = beta[idx] + alpha[idx, ai] + delta[idx, di]
-        s = sigma0[idx]
+        # pooled draw idx is draw i of chain c; read it where it is stored
+        c, i = divmod(int(idx), p.draws_per_chain)
+        chain = p.chains[c]
+        nu = chain.beta[i] + chain.alpha[i, ai] + chain.delta[i, di]
+        s = chain.sigma0[i]
         t_real = float(((y - nu) ** 2).sum() / (s * s))
         y_rep = nu + rng.normal(0.0, s, size=nu.shape)
         t_rep = float(((y_rep - nu) ** 2).sum() / (s * s))

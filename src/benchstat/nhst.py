@@ -56,12 +56,6 @@ def chi_square_sf(x: float, k: int) -> float:
     return float(special.gammaincc(k / 2.0, x / 2.0))
 
 
-def chi_square_cdf(x: float, k: int) -> float:
-    if x < 0:
-        raise InputError(f"chi_square_cdf requires x >= 0, got {x}")
-    return float(special.gammainc(k / 2.0, x / 2.0))
-
-
 def studentized_range_sf(q, k: int):
     """Upper-tail probability of the range of k independent standard normals.
 

@@ -8,8 +8,6 @@ the convention the Friedman/Nemenyi tests expect.  Lower values rank better.
 """
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -18,6 +16,7 @@ import numpy as np
 
 from .data import AggregatedMatrix
 from .errors import InputError
+from .render import serialise
 
 _GRID = Decimal("0.001")
 
@@ -136,23 +135,20 @@ def rank_histogram(r: RankMatrix) -> np.ndarray:
         raise InputError("rank_histogram requires a dense-scheme rank matrix")
     max_rank = int(np.nanmax(r.ranks)) if np.isfinite(r.ranks).any() else 0
     counts = np.zeros((len(r.algorithms), max_rank), dtype=int)
-    for ai in range(len(r.algorithms)):
-        col = r.ranks[:, ai]
-        for v in col[~np.isnan(col)]:
-            counts[ai, int(v) - 1] += 1
+    present = ~np.isnan(r.ranks)
+    np.add.at(counts, (np.nonzero(present)[1], r.ranks[present].astype(int) - 1), 1)
     return counts
 
 
 def histogram_to_csv(r: RankMatrix) -> str:
     """Render the rank histogram as ``algorithm,rank,count`` rows."""
     counts = rank_histogram(r)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["algorithm", "rank", "count"])
-    for ai, algorithm in enumerate(r.algorithms):
-        for rank in range(counts.shape[1]):
-            writer.writerow([algorithm, rank + 1, counts[ai, rank]])
-    return out.getvalue()
+    rows = [
+        (algorithm, rank + 1, counts[ai, rank])
+        for ai, algorithm in enumerate(r.algorithms)
+        for rank in range(counts.shape[1])
+    ]
+    return serialise("csv", ["algorithm", "rank", "count"], rows)
 
 
 def histogram_to_svg(r: RankMatrix, cell: int = 28) -> str:

@@ -8,11 +8,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
-from .nhst import FriedmanResult, PairwiseMatrix
-from .threshold import ThresholdReport
+
+if TYPE_CHECKING:  # annotations only: ranks imports this module, and nhst imports ranks
+    from .nhst import FriedmanResult, PairwiseMatrix
+    from .threshold import ThresholdReport
 
 FORMATS = ("csv", "markdown", "json")
 
@@ -39,7 +41,7 @@ def _markdown_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _serialise(format: str, header, rows, shape=lambda records: records, note=None) -> str:
+def serialise(format: str, header, rows, shape=lambda records: records, note=None) -> str:
     """Write one table model, a header plus rows, in ``format``.
 
     JSON is ``shape`` applied to the rows as header-keyed objects, plus a
@@ -67,7 +69,7 @@ def _single(records):
 def render_rank_summary(summary, format: str = "csv") -> str:
     """Table of (algorithm, mean rank, times ranked first)."""
     rows = [(a, fmt(m), c) for a, m, c in summary]
-    return _serialise(format, ["algorithm", "mean_rank", "top_count"], rows)
+    return serialise(format, ["algorithm", "mean_rank", "top_count"], rows)
 
 
 def render_friedman(result: FriedmanResult, format: str = "csv") -> str:
@@ -79,7 +81,7 @@ def render_friedman(result: FriedmanResult, format: str = "csv") -> str:
         result.n_subjects,
         result.k_treatments,
     )
-    return _serialise(format, header, [row], _single)
+    return serialise(format, header, [row], _single)
 
 
 def render_pairwise(
@@ -112,7 +114,7 @@ def render_pairwise(
             for i in range(len(names))
             for j in range(i + 1, len(names))
         ]
-    return _serialise(format, header, rows, lambda pairs: {"kind": m.kind, "pairs": pairs})
+    return serialise(format, header, rows, lambda pairs: {"kind": m.kind, "pairs": pairs})
 
 
 def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
@@ -130,7 +132,7 @@ def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
         report.n_pairs_used,
         report.n_cv_values,
     )
-    return _serialise(format, header, [row], _single)
+    return serialise(format, header, [row], _single)
 
 
 def render_diagnostics(rows, format: str = "csv") -> str:
@@ -144,7 +146,7 @@ def render_diagnostics(rows, format: str = "csv") -> str:
         )
         for r in rows
     ]
-    return _serialise(
+    return serialise(
         format,
         ["parameter", "r_hat", "ess"],
         body,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -103,6 +104,14 @@ class TestRunChains:
         with pytest.raises(InputError, match="kept"):
             run_chains(spec, m, McmcConfig(kept=0), seed=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("pin", ["fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df"])
+    def test_pins_must_be_positive(self, pin, value):
+        m = make_matrix([[0.1, 0.3], [0.2, 0.4]])
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=10, **{pin: value})
+        with pytest.raises(InputError, match=f"^{pin} must be > 0"):
+            run_chains(build_model(m, "robust"), m, cfg, seed=0)
+
     def test_paper_config_values(self):
         cfg = McmcConfig.paper()
         assert cfg.chains == 4
@@ -178,6 +187,15 @@ class TestRunChains:
         cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20, **{f"fixed_{pinned}": math.inf})
         with pytest.raises(ComputationError, match=f"non-finite draws of {pinned} "):
             run_chains(build_model(m), m, cfg, seed=0)
+
+    def test_df_prior_rate_comes_from_the_spec(self):
+        rng = np.random.default_rng(15)
+        m, _ = synthetic_matrix(rng, 3, 8)
+        spec = build_model(m, "robust")
+        cfg = McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50)
+        base = run_chains(spec, m, cfg, seed=2)
+        other = run_chains(dataclasses.replace(spec, df_rate=1.0), m, cfg, seed=2)
+        assert not np.array_equal(base.chains[0].df, other.chains[0].df)
 
     def test_exactly_additive_cells_put_sigma0_at_its_lower_bound(self):
         # the residuals vanish, so the sigma0 draw is cut so far in the Gamma

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from benchstat import SynthSpec, generate_synthetic
+from benchstat import SynthSpec, generate_synthetic, load_draws
 from benchstat.data import error_table_to_csv
 from benchstat.cli import main
 
@@ -159,9 +159,14 @@ class TestBayesCommand:
 
     def test_config_file(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
-        cfg.write_text("# settings\nchains=2\nburn_in=50\nadaptation=50\nkept=80\n")
-        assert main(["bayes", synth_csv, "--config", str(cfg), "--seed", "4"]) == 0
+        cfg.write_text("# settings\nchains=3\nburn_in=50\nadaptation=50\nkept=80\n")
+        draws_path = tmp_path / "draws.bin"
+        args = ["bayes", synth_csv, "--config", str(cfg), "--chains", "2", "--seed", "4"]
+        assert main(args + ["--save", str(draws_path)]) == 0
         capsys.readouterr()
+        # the file sets every key; an option given on the command line wins
+        meta = load_draws(draws_path).meta
+        assert (meta["chains"], meta["burn_in"], meta["adaptation"], meta["kept"]) == (2, 50, 50, 80)
 
     def test_bad_config_key_exit_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchstat import (
-    AggregatedMatrix,
     ErrorRecord,
     ErrorTable,
     InputError,
@@ -16,7 +15,6 @@ from benchstat import (
     ingest_error_table,
     ingest_timing_table,
     matrix_from_timings,
-    validate_matrix,
 )
 from benchstat.data import error_table_to_csv
 
@@ -179,33 +177,6 @@ class TestAggregateErrors:
         )
         m = aggregate_errors(table)
         assert m.values[0, 0] == (e1 + e2) / 2.0
-
-
-class TestValidateMatrix:
-    def _matrix(self, mask):
-        mask = np.asarray(mask, bool)
-        values = np.where(mask, 0.1, np.nan)
-        n_ds, n_alg = mask.shape
-        return AggregatedMatrix(
-            [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], values, mask
-        )
-
-    def test_complete_ok(self):
-        report = validate_matrix(self._matrix(np.ones((3, 3))), "require_complete")
-        assert report.complete
-
-    def test_allow_missing_lists_cells(self):
-        mask = np.ones((10, 3), bool)
-        mask[:, 1] = False
-        report = validate_matrix(self._matrix(mask), "allow_missing")
-        assert len(report.missing_by_algorithm["a1"]) == 10
-        assert len(report.missing_cells) == 10
-
-    def test_require_complete_enumerates(self):
-        mask = np.ones((10, 3), bool)
-        mask[:, 1] = False
-        with pytest.raises(InputError, match="10 missing cells"):
-            validate_matrix(self._matrix(mask), "require_complete")
 
 
 class TestIngestTimingTable:

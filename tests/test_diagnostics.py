@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,40 @@ from benchstat import (
     psrf,
     run_chains,
 )
+from benchstat.banova import ChainDraws, PosteriorDraws
 from benchstat.data import AggregatedMatrix
+from benchstat.diagnostics import _chain_ess
+
+
+def geyer_ess_loop(x):
+    """Reference chain ESS: FFT autocorrelations, then Geyer's initial
+    positive sequence summed pair by pair until the first nonpositive pair."""
+    n = len(x)
+    x = x - x.mean()
+    size = 1
+    while size < 2 * n:
+        size *= 2
+    f = np.fft.rfft(x, size)
+    rho = np.fft.irfft(f * np.conjugate(f), size)[:n]
+    rho = rho / rho[0]
+    tau = -1.0
+    m = 0
+    while 2 * m + 1 < n:
+        gamma = rho[2 * m] + rho[2 * m + 1]
+        if gamma <= 0.0:
+            break
+        tau += 2.0 * gamma
+        m += 1
+    return n / max(tau, 1.0 / n)
+
+
+def ar1(rng, phi, n):
+    eps = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = eps[0] / math.sqrt(1 - phi * phi)
+    for i in range(1, n):
+        x[i] = phi * x[i - 1] + eps[i]
+    return x
 
 
 class TestPsrf:
@@ -79,14 +113,7 @@ class TestEss:
         # AR(1) with phi: tau = (1+phi)/(1-phi) = 19 at phi = 0.9
         rng = np.random.default_rng(5)
         phi, n = 0.9, 200_000
-        chains = np.empty((2, n))
-        for c in range(2):
-            eps = rng.standard_normal(n)
-            x = np.empty(n)
-            x[0] = eps[0] / math.sqrt(1 - phi * phi)
-            for i in range(1, n):
-                x[i] = phi * x[i - 1] + eps[i]
-            chains[c] = x
+        chains = np.stack([ar1(rng, phi, n) for _ in range(2)])
         expected = 2 * n / ((1 + phi) / (1 - phi))
         assert effective_sample_size(chains) == pytest.approx(expected, rel=0.2)
 
@@ -103,6 +130,25 @@ class TestEss:
     def test_single_chain_rejected(self):
         with pytest.raises(InputError, match="2 chains"):
             effective_sample_size(np.zeros((1, 50)))
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.9])
+    def test_chain_ess_matches_loop_on_ar1(self, phi, n):
+        x = ar1(np.random.default_rng(8), phi, n)
+        assert _chain_ess(x) == pytest.approx(geyer_ess_loop(x), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [51, 501])
+    def test_chain_ess_matches_loop_when_no_pair_truncates(self, n):
+        # the autocorrelations sum to 1/2, so when every pair sum is positive
+        # tau is 0 (clamped to 1/n) on even n and -2 rho[n-1] on odd n; an
+        # alternating chain with opposite ends keeps tau above the clamp
+        t = np.arange(n)
+        x = np.where(t == 0, 2.0, np.where(t == n - 1, -2.0, (-1.0) ** t))
+        xc = x - x.mean()
+        rho = np.correlate(xc, xc, "full")[n - 1 :] / np.dot(xc, xc)
+        assert (rho[0 : n - 1 : 2] + rho[1:n:2] > 0).all()
+        assert geyer_ess_loop(x) < n * n
+        assert _chain_ess(x) == pytest.approx(geyer_ess_loop(x), rel=1e-12)
 
 
 def small_fit(seed=0, variant="normal", n_alg=3, n_ds=10, kept=500):
@@ -134,6 +180,31 @@ class TestDiagnosticReport:
         _, draws = small_fit(variant="robust")
         names = {row.parameter for row in diagnostic_report(draws)}
         assert "df" in names
+
+    def test_peak_memory_stays_near_the_held_draws(self):
+        # the report stacks one parameter's chains at a time, not all of them
+        rng = np.random.default_rng(9)
+        n_alg, n_ds, n = 6, 40, 2000
+        chains = [
+            ChainDraws(
+                rng.standard_normal(n),
+                rng.standard_normal((n, n_alg)),
+                rng.standard_normal((n, n_ds)),
+                *np.abs(rng.standard_normal((3, n))),
+            )
+            for _ in range(4)
+        ]
+        draws = PosteriorDraws(
+            "normal", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], chains
+        )
+        held = sum(v.nbytes for c in chains for v in vars(c).values() if v is not None)
+        tracemalloc.start()  # counts only what the report allocates
+        try:
+            diagnostic_report(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * held
 
 
 class TestPosteriorPredictiveCheck:

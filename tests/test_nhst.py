@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from benchstat import (
     InputError,
-    chi_square_cdf,
     chi_square_sf,
     friedman_test,
     nemenyi_pairwise,
@@ -35,13 +34,6 @@ class TestChiSquareSf:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             chi_square_sf(-0.1, 2)
-
-    def test_sf_plus_cdf_is_one(self):
-        for x in (0.5, 3.0, 25.0, 120.0, 200.0):
-            for k in (1, 2, 7, 50, 200):
-                assert chi_square_sf(x, k) + chi_square_cdf(x, k) == pytest.approx(
-                    1.0, abs=1e-12
-                )
 
 
 class TestStudentizedRangeSf:

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+import benchstat
 from benchstat import (
     AggregatedMatrix,
     InputError,
@@ -10,7 +14,7 @@ from benchstat import (
     mean_rank_summary,
     rank_histogram,
 )
-from benchstat.ranks import histogram_to_csv, histogram_to_svg
+from benchstat.ranks import RankMatrix, histogram_to_csv, histogram_to_svg
 
 
 def matrix(values, algorithms=None, datasets=None):
@@ -157,6 +161,14 @@ class TestRankHistogram:
         counts = rank_histogram(dense_ranks(matrix(values)))
         np.testing.assert_array_equal(counts, np.eye(4, dtype=int) * 6)
 
+    def test_matches_direct_count_with_ties_and_missing_cells(self):
+        rng = np.random.default_rng(5)
+        ranks = rng.integers(1, 6, (40, 7)).astype(float)  # repeats are ties
+        ranks[rng.random(ranks.shape) < 0.2] = np.nan
+        r = RankMatrix("dense", [f"a{i}" for i in range(7)], [f"d{i}" for i in range(40)], ranks)
+        direct = [[int((ranks[:, a] == k).sum()) for k in range(1, 6)] for a in range(7)]
+        np.testing.assert_array_equal(rank_histogram(r), direct)
+
     def test_average_scheme_rejected(self):
         with pytest.raises(InputError, match="dense"):
             rank_histogram(average_ranks(matrix([[0.1, 0.2]])))
@@ -172,3 +184,23 @@ class TestRankHistogram:
         svg2 = histogram_to_svg(r)
         assert svg1 == svg2
         assert svg1.startswith("<svg")
+
+
+def test_render_loads_neither_nhst_nor_threshold():
+    # ranks serialises through render and nhst imports ranks, so render may
+    # name nhst and threshold types in annotations only.  The package's
+    # __init__ imports every module, so the fresh interpreter imports render
+    # under a bare package object instead.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('benchstat')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['benchstat'] = pkg\n"
+        "import benchstat.render\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('benchstat.')))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, benchstat.__path__[0]],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == ["benchstat.errors", "benchstat.render"]
