@@ -199,7 +199,8 @@ class PosteriorDraws:
             yield f"alpha[{name}]", np.stack([c.alpha[:, ai] for c in self.chains])
         for di, name in enumerate(self.datasets):
             yield f"delta[{name}]", np.stack([c.delta[:, di] for c in self.chains])
-        for name in ("sigma0", "sigma_a", "sigma_d") + (("df",) if self.variant == "robust" else ()):
+        scales = ("sigma0", "sigma_a", "sigma_d") + (("df",) if self.variant == "robust" else ())
+        for name in scales:
             yield name, np.stack([getattr(c, name) for c in self.chains])
 
 

@@ -166,7 +166,7 @@ class TestBayesCommand:
         capsys.readouterr()
         # the file sets every key; an option given on the command line wins
         meta = load_draws(draws_path).meta
-        assert (meta["chains"], meta["burn_in"], meta["adaptation"], meta["kept"]) == (2, 50, 50, 80)
+        assert [meta[k] for k in ("chains", "burn_in", "adaptation", "kept")] == [2, 50, 50, 80]
 
     def test_bad_config_key_exit_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
