@@ -24,6 +24,8 @@ import concurrent.futures
 import io
 import json
 import math
+import mmap
+import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -112,6 +114,8 @@ class McmcConfig:
     widths adapt only during the adaptation phase and are frozen afterwards.
     Pinning a scale parameter (or df) skips its update entirely, which is
     what the analytic sampler oracle and the large-df robust limit use.
+    Up to ``n_jobs`` chains run at once, in forked worker processes; the
+    draws do not depend on it.
     """
 
     chains: int = 4
@@ -322,7 +326,7 @@ def _far_tail_gamma(rng, shape: float, a: float, b: float) -> float:
     raise ComputationError(f"truncated Gamma({shape!r}) draw on [{a!r}, {b!r}] did not accept")
 
 
-def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
+def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws) -> dict:
     """One chain on the dense (datasets x algorithms) cell matrix ``y``.
 
     ``y`` is 0 and the latent precisions ``lam`` are 0 on missing cells, so
@@ -330,8 +334,9 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
     ``lam`` at the 0/1 mask.  With W = lam / sigma0^2, the location updates
     need the row and column sums of W and W*y and the matrix-vector products
     ``delta @ W`` and ``W @ alpha``: they are taken of ``lam`` (its sums are
-    recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Returns
-    the kept draws and the slice samplers' counters.
+    recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Writes
+    the kept draws into the views of ``kept`` and returns the slice samplers'
+    counters.
     """
     rng = np.random.default_rng(seed)
     n_ds, n_alg = y.shape
@@ -366,16 +371,6 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
     }
 
     total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
-    # effect draws column-major: every reader takes one effect across draws
-    kept = ChainDraws(
-        np.empty(cfg.kept),
-        np.empty((cfg.kept, n_alg), order="F"),
-        np.empty((cfg.kept, n_ds), order="F"),
-        np.empty(cfg.kept),
-        np.empty(cfg.kept),
-        np.empty(cfg.kept),
-        np.empty(cfg.kept) if robust else None,
-    )
     k = 0
 
     ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
@@ -483,8 +478,21 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed):
     for name, values in vars(kept).items():
         if values is not None and not np.isfinite(values).all():
             raise ComputationError(f"non-finite draws of {name} encountered")
-    counters = {name: v.counters() for name, v in slices.items() if v.updates}  # sampled ones
-    return kept, counters
+    return {name: v.counters() for name, v in slices.items() if v.updates}  # sampled ones
+
+
+_worker_jobs = []  # a forked worker's copy of run_chains' jobs, inherited, never pickled
+
+
+def _set_worker_jobs(jobs):
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _worker_job(c: int) -> dict:
+    """Chain ``c`` in a forked worker: its draws land in the shared block,
+    only its counters go back."""
+    return _run_chain(*_worker_jobs[c])
 
 
 def run_chains(
@@ -498,12 +506,20 @@ def run_chains(
     Missing cells contribute no likelihood term.  Each chain draws from its
     own RNG stream derived from the seed, so results do not depend on whether
     chains run sequentially or in parallel, nor on how many chains run.
-    ``meta["slice"]`` holds, per chain, the log-density evaluations per slice
-    update and the final slice width of every sampled sigma_a, sigma_d and df.
+    ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
+    shared block; where ``fork`` is unavailable the chains run one after
+    another.  ``meta["slice"]`` holds, per chain, the log-density evaluations
+    per slice update and the final slice width of every sampled sigma_a,
+    sigma_d and df.
     """
     if cfg is None:
         cfg = McmcConfig()
     cfg.validate()
+    if cfg.fixed_sigma0 is not None and not spec.sigma0_low <= cfg.fixed_sigma0 <= spec.sigma0_high:
+        raise InputError(
+            f"fixed_sigma0={cfg.fixed_sigma0!r} is outside the sigma0 prior range "
+            f"[{spec.sigma0_low!r}, {spec.sigma0_high!r}]"
+        )
     # canonical name order inside the sampler, so reordering the input
     # columns/rows permutes the draws exactly (same seed, same RNG stream)
     perm_a = np.argsort(np.asarray(data.algorithms))
@@ -512,17 +528,31 @@ def run_chains(
     if not present.any():
         raise InputError("no present cells")
     y = np.where(present, data.values[np.ix_(perm_d, perm_a)], 0.0)
+    n_ds, n_alg = y.shape
+    robust = spec.variant == "robust"
+    workers = min(cfg.n_jobs, cfg.chains)
+    # (chain, column, draw) in draws-file column order: every ChainDraws field
+    # is a view, and the effect draws are column-major, as their readers want
+    block = _draws_block((cfg.chains, 1 + n_alg + n_ds + 3 + robust, cfg.kept))
+    chains = [_chain_from_matrix(rows.T, n_alg, n_ds, robust) for rows in block]
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
-    jobs = [(spec, y, present, cfg, s) for s in child_seeds]
-    if cfg.n_jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(_run_chain, *zip(*jobs)))
+    jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, chains)]
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with concurrent.futures.ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_jobs,
+            initargs=(jobs,),  # inherited through fork, not pickled
+        ) as pool:
+            try:
+                counters = list(pool.map(_worker_job, range(cfg.chains)))
+            except concurrent.futures.BrokenExecutor as exc:
+                raise ComputationError(f"a chain's worker process died: {exc}") from None
     else:
-        results = [_run_chain(*job) for job in jobs]
+        counters = [_run_chain(*job) for job in jobs]
     # map effect columns back to the caller's ordering, one chain at a time
     inv_a = np.argsort(perm_a)
     inv_d = np.argsort(perm_d)
-    chains = [c for c, _ in results]
     for c in chains:
         c.alpha[:] = c.alpha[:, inv_a]
         c.delta[:] = c.delta[:, inv_d]
@@ -534,7 +564,7 @@ def run_chains(
         "kept": cfg.kept,
         "chains": cfg.chains,
         "seed": seed,
-        "slice": [counters for _, counters in results],
+        "slice": counters,
     }
     if cfg.fixed_df is not None:
         meta["fixed_df"] = cfg.fixed_df
@@ -577,6 +607,16 @@ def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMat
 
 _MAGIC = "#benchstat-draws"
 _VERSIONS = ("v1", "v2")
+
+
+def _draws_block(shape: tuple) -> np.ndarray:
+    """Uninitialised float64 array in an anonymous shared mapping.
+
+    Forked workers inherit the mapping and write their chains into it in
+    place; and freeing the array unmaps it, so the next block does not sit
+    beside memory that malloc kept from the last one.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
 
 
 def _chain_matrix(chain: ChainDraws) -> np.ndarray:
@@ -674,7 +714,7 @@ def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
             f"draws file {path}: float64 block has {found} bytes, header wants {want} "
             f"({shape[0]} chains x {shape[1]} draws x {shape[2]} columns x 8)"
         )
-    block = np.empty(shape, dtype="<f8")
+    block = _draws_block(shape)
     fh.readinto(block.data)
     return block
 

@@ -8,6 +8,7 @@ the run can be replayed.
 from __future__ import annotations
 
 import dataclasses
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -55,6 +56,13 @@ def _friedman_then_nemenyi(r, alpha: float, format_: str) -> list:
             "Nemenyi post-hoc skipped\n"
         )
     return [render.render_friedman(result, format_), post_hoc]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
@@ -161,7 +169,13 @@ def cmd_threshold(input_path, format_, out):
 @click.option("--seed", type=int, default=None)
 @click.option("--save", "save_path", default=None, help="Persist the posterior draws here.")
 @click.option("--load", "load_path", default=None, help="Reuse saved draws instead of sampling.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option(
+    "--threads",
+    type=int,
+    default=_usable_cpus,
+    show_default="CPUs this process may use",
+    help="Chains sampled at once, in worker processes (at most --chains).",
+)
 @_format_option
 @_out_option
 def cmd_bayes(

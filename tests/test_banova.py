@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,13 @@ from benchstat import (
     run_chains,
     save_draws,
 )
+from benchstat import banova
 from benchstat.banova import ChainDraws, PosteriorDraws, _truncated_gamma
 from benchstat.errors import ComputationError
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="chains run serially without fork"
+)
 
 
 def make_matrix(values, algorithms=None, datasets=None):
@@ -37,6 +44,18 @@ def synthetic_matrix(rng, n_alg, n_ds, alpha_sd=0.03, noise_sd=0.02, alphas=None
     deltas = rng.normal(0, 0.08, n_ds)
     values = 0.25 + alphas[None, :] + deltas[:, None] + rng.normal(0, noise_sd, (n_ds, n_alg))
     return make_matrix(values), alphas
+
+
+def assert_same_chains(chains, others):
+    """Every field of every chain bit-identical (df None in both for normal)."""
+    assert len(chains) == len(others)
+    for c1, c2 in zip(chains, others):
+        for name in ("beta", "alpha", "delta", "sigma0", "sigma_a", "sigma_d", "df"):
+            a, b = getattr(c1, name), getattr(c2, name)
+            if a is None or b is None:
+                assert a is None and b is None, name
+            else:
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestGammaModeSd:
@@ -151,17 +170,26 @@ class TestRunChains:
         diff = pairwise_difference_draws(draws, "a1", "a0")
         assert abs(diff.mean() - 0.05) < 2 * diff.std()
 
-    def test_parallel_chains_match_sequential(self):
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3, 8])
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_parallel_chains_match_sequential(self, variant, n_jobs):
         rng = np.random.default_rng(3)
         m, _ = synthetic_matrix(rng, 3, 8)
-        spec = build_model(m)
-        cfg_seq = McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50, n_jobs=1)
-        cfg_par = McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50, n_jobs=2)
-        d1 = run_chains(spec, m, cfg_seq, seed=9)
-        d2 = run_chains(spec, m, cfg_par, seed=9)
-        for c1, c2 in zip(d1.chains, d2.chains):
-            np.testing.assert_array_equal(c1.alpha, c2.alpha)
-            np.testing.assert_array_equal(c1.sigma0, c2.sigma0)
+        spec = build_model(m, variant)
+        cfg = McmcConfig(chains=4, burn_in=20, adaptation=20, kept=50, n_jobs=1)
+        serial = run_chains(spec, m, cfg, seed=9)
+        other = run_chains(spec, m, dataclasses.replace(cfg, n_jobs=n_jobs), seed=9)
+        assert_same_chains(serial.chains, other.chains)
+        assert serial.meta["slice"] == other.meta["slice"]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_effect_draws_are_column_major(self, n_jobs):
+        # the ROPE matrix and the diagnostics read one effect across draws
+        rng = np.random.default_rng(4)
+        m, _ = synthetic_matrix(rng, 3, 8)
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=20, n_jobs=n_jobs)
+        for chain in run_chains(build_model(m), m, cfg, seed=1).chains:
+            assert chain.alpha.flags.f_contiguous and chain.delta.flags.f_contiguous
 
     @pytest.mark.parametrize("variant", ["normal", "robust"])
     def test_draws_do_not_depend_on_chain_count(self, variant):
@@ -170,23 +198,42 @@ class TestRunChains:
         spec = build_model(m, variant)
         two = run_chains(spec, m, McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50), seed=4)
         three = run_chains(spec, m, McmcConfig(chains=3, burn_in=20, adaptation=20, kept=50), seed=4)
-        for c2, c3 in zip(two.chains, three.chains):
-            for name in ("beta", "alpha", "delta", "sigma0", "sigma_a", "sigma_d", "df"):
-                a, b = getattr(c2, name), getattr(c3, name)
-                if variant == "normal" and name == "df":
-                    assert a is None and b is None
-                else:
-                    np.testing.assert_array_equal(a, b)
+        assert_same_chains(two.chains, three.chains[:2])
         assert two.meta["slice"] == three.meta["slice"][:2]
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("pinned", ["sigma_a", "sigma_d"])
-    def test_non_finite_draws_name_the_parameter(self, pinned):
-        # an infinite pinned scale is the one non-finite kept column
+    def test_non_finite_draws_name_the_parameter(self, pinned, n_jobs):
+        # an infinite pinned scale is the one non-finite kept column; a
+        # worker's error reaches the caller as it was raised
         rng = np.random.default_rng(13)
         m, _ = synthetic_matrix(rng, 3, 8)
-        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20, **{f"fixed_{pinned}": math.inf})
-        with pytest.raises(ComputationError, match=f"non-finite draws of {pinned} "):
+        cfg = McmcConfig(
+            chains=2, burn_in=10, adaptation=10, kept=20, n_jobs=n_jobs, **{f"fixed_{pinned}": math.inf}
+        )
+        with pytest.raises(ComputationError, match=f"^non-finite draws of {pinned} encountered$"):
             run_chains(build_model(m), m, cfg, seed=0)
+
+    @needs_fork
+    def test_dead_worker_is_a_computation_error(self, monkeypatch):
+        # the forked workers inherit the patched module attribute
+        monkeypatch.setattr(banova, "_run_chain", lambda *args: os._exit(3))
+        rng = np.random.default_rng(13)
+        m, _ = synthetic_matrix(rng, 3, 8)
+        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20, n_jobs=2)
+        with pytest.raises(ComputationError, match="worker process died"):
+            run_chains(build_model(m), m, cfg, seed=0)
+
+    def test_pinned_sigma0_outside_the_prior_range_rejected(self):
+        m = make_matrix([[0.1, 0.3], [0.2, 0.4], [0.5, 0.1]])
+        spec = build_model(m)
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=10)
+        for value in (spec.sigma0_low / 2, spec.sigma0_high * 2):
+            with pytest.raises(InputError, match=r"^fixed_sigma0=.* outside the sigma0 prior range \["):
+                run_chains(spec, m, dataclasses.replace(cfg, fixed_sigma0=value), seed=0)
+        for value in (spec.sigma0_low, spec.sigma0_high):  # the ends are inside
+            draws = run_chains(spec, m, dataclasses.replace(cfg, fixed_sigma0=value), seed=0)
+            assert (draws.chains[0].sigma0 == value).all()
 
     def test_df_prior_rate_comes_from_the_spec(self):
         rng = np.random.default_rng(15)
@@ -460,7 +507,6 @@ class TestPersistence:
     def test_missing_file_is_input_error(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_draws(tmp_path / "absent.csv")
-
 
     def test_slice_counters_in_meta(self, tmp_path):
         draws = self._sample("robust")

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
+import os
 import re
 
 import pytest
 
-from benchstat import SynthSpec, generate_synthetic, load_draws
+from benchstat import SynthSpec, banova, generate_synthetic, load_draws
 from benchstat.data import error_table_to_csv
 from benchstat.cli import main
 
@@ -167,6 +169,23 @@ class TestBayesCommand:
         # the file sets every key; an option given on the command line wins
         meta = load_draws(draws_path).meta
         assert [meta[k] for k in ("chains", "burn_in", "adaptation", "kept")] == [2, 50, 50, 80]
+
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_report_does_not_depend_on_threads(self, synth_csv, tmp_path, variant):
+        args = [
+            "bayes", synth_csv, "--variant", variant, "--chains", "4", "--burn-in", "30",
+            "--adaptation", "30", "--kept", "60", "--seed", "6",
+        ]
+        assert main(args + ["--threads", "1", "--out", str(tmp_path / "serial.csv")]) == 0
+        assert main(args + ["--out", str(tmp_path / "default.csv")]) == 0
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_dead_worker_exit_1(self, synth_csv, monkeypatch, capsys):
+        monkeypatch.setattr(banova, "_run_chain", lambda *args: os._exit(3))
+        args = ["bayes", synth_csv, "--chains", "2", "--kept", "10", "--threads", "2", "--seed", "0"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: a chain's worker process died")
 
     def test_bad_config_key_exit_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
