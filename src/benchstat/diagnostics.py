@@ -68,22 +68,38 @@ def psrf(chains, corrected: bool = False, split: bool = False) -> PsrfResult:
     return PsrfResult(r_hat)
 
 
-def _chain_ess(x: np.ndarray) -> float:
-    """ESS of one chain via Geyer's initial positive sequence."""
-    n = len(x)
-    x = x - x.mean()
-    var0 = float(np.dot(x, x)) / n
-    if var0 == 0.0:
+def _fft_size(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT handles fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chain_ess(x: np.ndarray) -> np.ndarray:
+    """ESS of each chain (row of ``x``) via Geyer's initial positive sequence.
+
+    One FFT pair along the last axis gives every chain's autocovariances.
+    """
+    n = x.shape[-1]
+    x = x - x.mean(axis=-1, keepdims=True)
+    if not (x * x).sum(axis=-1).all():
         raise InputError("effective sample size undefined for a constant chain")
-    # autocovariances via FFT, zero-padded to the power of two >= 2n
-    size = 1 << (2 * n - 1).bit_length()
+    # autocovariances via FFT, zero-padded to a fast length >= 2n - 1
+    size = _fft_size(2 * n - 1)
     f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n] / n
-    rho = acov / acov[0]
+    acov = np.fft.irfft(f * np.conjugate(f), size)[..., :n]
+    rho = acov / acov[..., :1]
     # pair sums rho[2m] + rho[2m+1]; truncate at the first nonpositive pair
-    pairs = rho[0 : n - 1 : 2] + rho[1:n:2]
-    tau = -1.0 + 2.0 * pairs[np.logical_and.accumulate(pairs > 0.0)].sum()
-    return n / max(tau, 1.0 / n)
+    pairs = rho[..., 0 : n - 1 : 2] + rho[..., 1:n:2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=-1)
+    tau = -1.0 + 2.0 * np.where(kept, pairs, 0.0).sum(axis=-1)
+    return n / np.maximum(tau, 1.0 / n)
 
 
 def effective_sample_size(chains) -> float:
@@ -93,7 +109,7 @@ def effective_sample_size(chains) -> float:
         raise InputError("effective_sample_size expects a 2-D (chains x draws) array")
     if x.shape[0] < 2:
         raise InputError("effective_sample_size requires at least 2 chains")
-    return float(sum(_chain_ess(row) for row in x))
+    return float(_chain_ess(x).sum())
 
 
 @dataclass

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import benchstat
 from benchstat import (
     InputError,
     McmcConfig,
@@ -16,7 +20,7 @@ from benchstat import (
 )
 from benchstat.banova import ChainDraws, PosteriorDraws
 from benchstat.data import AggregatedMatrix
-from benchstat.diagnostics import _chain_ess
+from benchstat.diagnostics import _chain_ess, _fft_size
 
 
 def geyer_ess_loop(x):
@@ -149,6 +153,52 @@ class TestEss:
         assert (rho[0 : n - 1 : 2] + rho[1:n:2] > 0).all()
         assert geyer_ess_loop(x) < n * n
         assert _chain_ess(x) == pytest.approx(geyer_ess_loop(x), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5000, 4999])
+    def test_chain_ess_is_per_row_in_one_call(self, n):
+        rng = np.random.default_rng(10)
+        x = np.stack([ar1(rng, phi, n) for phi in (-0.5, 0.0, 0.5, 0.9)])
+        ess = _chain_ess(x)
+        assert ess.shape == (4,)
+        for row, value in zip(x, ess):
+            assert value == pytest.approx(geyer_ess_loop(row), rel=1e-12)
+
+    def test_constant_row_among_others_rejected(self):
+        x = np.random.default_rng(11).standard_normal((3, 100))
+        x[1] = 0.25
+        with pytest.raises(InputError, match="constant chain"):
+            _chain_ess(x)
+
+    def test_fft_size_is_the_smallest_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for m in range(1, 3000):
+            size = _fft_size(m)
+            assert size >= m and smooth(size)
+            assert not any(smooth(j) for j in range(m, size))
+        assert _fft_size(2 * 5000 - 1) == 10_000
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # the padded FFT length is computed in the package, so no command pays
+    # for importing scipy.fft
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import benchstat.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(benchstat.__path__[0])],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = run.stdout.split()
+    assert "scipy.special" in loaded
+    assert not any(m == "scipy.fft" or m.startswith("scipy.fft.") for m in loaded)
 
 
 def small_fit(seed=0, variant="normal", n_alg=3, n_ds=10, kept=500):
