@@ -705,8 +705,13 @@ def load_draws(path) -> PosteriorDraws:
     return PosteriorDraws(variant, algorithms, datasets, chains, header.get("meta", {}))
 
 
-def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
-    """The float64 block after a v2 header line, checked against ``shape``."""
+def _read_v2_block(fh, path, shape: tuple) -> list:
+    """Per-chain (draws, columns) views of the float64 block after a v2 header.
+
+    The block is checked against ``shape`` and read a slice of draws at a
+    time into the (chain, column, draw) layout that :func:`run_chains` fills,
+    so the loaded effect draws are column-major too.
+    """
     want = 8 * math.prod(shape)
     found = os.fstat(fh.fileno()).st_size - fh.tell()
     if found != want:
@@ -714,9 +719,16 @@ def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
             f"draws file {path}: float64 block has {found} bytes, header wants {want} "
             f"({shape[0]} chains x {shape[1]} draws x {shape[2]} columns x 8)"
         )
-    block = _draws_block(shape)
-    fh.readinto(block.data)
-    return block
+    n_chains, per_chain, n_cols = shape
+    block = _draws_block((n_chains, n_cols, per_chain))
+    step = max(1, (1 << 17) // n_cols)  # draws per read: about 1 MB
+    buf = np.empty((min(step, per_chain), n_cols), dtype="<f8")
+    for rows in block:
+        for start in range(0, per_chain, step):
+            part = buf[: min(step, per_chain - start)]
+            fh.readinto(part.data)
+            rows[:, start : start + len(part)] = part.T
+    return [rows.T for rows in block]
 
 
 def _read_v1_rows(fh, path, shape: tuple) -> list:
@@ -731,6 +743,8 @@ def _read_v1_rows(fh, path, shape: tuple) -> list:
         body = np.loadtxt(text, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InputError(f"draws file {path}: {exc}") from None
+    finally:
+        text.detach()  # ``load_draws`` closes the file, not the collected wrapper
     if body.shape[1] != shape[2] + 1:
         raise InputError(f"draws file {path} has {body.shape[1]} columns, want {shape[2] + 1}")
     chains = [body[body[:, 0] == ci, 1:] for ci in range(shape[0])]

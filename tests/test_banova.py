@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,12 +185,15 @@ class TestRunChains:
         assert serial.meta["slice"] == other.meta["slice"]
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_effect_draws_are_column_major(self, n_jobs):
-        # the ROPE matrix and the diagnostics read one effect across draws
+    def test_effect_draws_are_column_major(self, n_jobs, tmp_path):
+        # the ROPE matrix and the diagnostics read one effect across draws,
+        # whether the draws were just sampled or loaded from a file
         rng = np.random.default_rng(4)
         m, _ = synthetic_matrix(rng, 3, 8)
         cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=20, n_jobs=n_jobs)
-        for chain in run_chains(build_model(m), m, cfg, seed=1).chains:
+        draws = run_chains(build_model(m), m, cfg, seed=1)
+        save_draws(draws, tmp_path / "draws.bin")
+        for chain in draws.chains + load_draws(tmp_path / "draws.bin").chains:
             assert chain.alpha.flags.f_contiguous and chain.delta.flags.f_contiguous
 
     @pytest.mark.parametrize("variant", ["normal", "robust"])
@@ -470,6 +475,42 @@ class TestPersistence:
         for c1, c2 in zip(old.chains, new.chains):
             np.testing.assert_array_equal(c1.alpha, c2.alpha)
             np.testing.assert_array_equal(c1.sigma_d, c2.sigma_d)
+
+    def test_v1_load_leaves_no_unclosed_file(self):
+        # -X dev shows the ResourceWarning of a text wrapper that closes the
+        # file when it is collected
+        legacy = Path(__file__).parent / "golden" / "legacy-v1.draws"
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from benchstat import load_draws\n"
+            "load_draws(sys.argv[2])\n"
+            "print('loaded')\n"
+        )
+        src = os.path.dirname(os.path.dirname(banova.__file__))
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", code, src, str(legacy)],
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout == "loaded\n"
+        assert "ResourceWarning" not in run.stderr
+
+    def test_block_read_in_slices_keeps_every_draw(self, tmp_path):
+        # 354 columns are read about 370 draws at a time: 3 slices per chain
+        rng = np.random.default_rng(14)
+        n, n_alg, n_ds = 1000, 50, 300
+        chains = [
+            ChainDraws(
+                rng.standard_normal(n), rng.standard_normal((n, n_alg)),
+                rng.standard_normal((n, n_ds)), *rng.random((4, n)),
+            )
+            for _ in range(3)
+        ]
+        draws = PosteriorDraws(
+            "robust", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], chains
+        )
+        save_draws(draws, tmp_path / "draws.bin")
+        assert_same_chains(chains, load_draws(tmp_path / "draws.bin").chains)
 
     def test_malformed_v1_text_rejected(self, tmp_path):
         lines = (Path(__file__).parent / "golden" / "legacy-v1.draws").read_text().splitlines(True)
