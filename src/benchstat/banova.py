@@ -12,11 +12,14 @@ representation with one latent precision multiplier per cell.
 Sampling is component-wise: conjugate normal draws for the location
 parameters (vectorized over algorithms and over datasets), an exact draw of
 sigma0 (1/sigma0^2 is Gamma-distributed, truncated to the prior's range),
-univariate slice sampling for sigma_a, sigma_d and the degrees of freedom,
-plus two exact translation moves that trade mass between the grand mean and
-each block of effects to break the additive non-identifiability's slow
-mixing.  The cells are held as a dense (datasets x algorithms) matrix in
-which missing cells carry zero weight.
+exact draws of sigma_a and sigma_d (rejection from a tangent envelope of
+their log-concave conditionals), univariate slice sampling for the degrees
+of freedom, plus two exact translation moves that trade mass between the
+grand mean and each block of effects to break the additive
+non-identifiability's slow mixing.  Every update of the normal variant is
+exact, so its adaptation phase acts as burn-in; only the df slice adapts.
+The cells are held as a dense (datasets x algorithms) matrix in which
+missing cells carry zero weight.
 """
 from __future__ import annotations
 
@@ -110,8 +113,10 @@ class McmcConfig:
     """Chain layout and optional parameter pins.
 
     Desk-scale defaults; ``paper()`` mirrors the published run (4 chains,
-    5000 burn-in, 5000 adaptation, 100000 total kept iterations).  Slice
-    widths adapt only during the adaptation phase and are frozen afterwards.
+    5000 burn-in, 5000 adaptation, 100000 total kept iterations).  The df
+    slice width adapts only during the adaptation phase and is frozen
+    afterwards; every other update is exact, so for the normal variant the
+    adaptation phase is more burn-in.
     Pinning a scale parameter (or df) skips its update entirely, which is
     what the analytic sampler oracle and the large-df robust limit use.
     Up to ``n_jobs`` chains run at once, in forked worker processes; the
@@ -326,6 +331,41 @@ def _far_tail_gamma(rng, shape: float, a: float, b: float) -> float:
     raise ComputationError(f"truncated Gamma({shape!r}) draw on [{a!r}, {b!r}] did not accept")
 
 
+def _effect_scale(rng, shape: float, rate: float, k: int, ss: float) -> tuple:
+    """One exact draw of an effect scale s given k effects of sum of squares ss.
+
+    The conditional s^(shape-1-k) exp(-rate*s - ss/(2 s^2)) of a
+    Gamma(shape, rate) prior is log-concave in u = log s.  The envelope
+    replaces -rate*e^u by its tangent at the mode s0, so that 1/s^2 ~
+    Gamma((k - shape + rate*s0)/2, rate ss/2), and a proposal s = s0*x is
+    kept with probability exp(-rate*s0*(x - 1 - log x)) (Devroye 1986,
+    ch. VII; Gilks & Wild 1992).  Returns the draw and the number of
+    proposals it took.
+    """
+    a = k - shape
+    ss = max(ss, 1e-300)  # all-zero effects leave the mode at 0
+    # the mode is the positive root of p(s) = rate s^3 + a s^2 - ss; p is
+    # increasing and convex right of it, where Newton descends to the root
+    if a > 0.0:
+        s0 = min(math.sqrt(ss / a), (ss / rate) ** (1.0 / 3.0))
+    else:
+        s0 = -a / rate + (ss / rate) ** (1.0 / 3.0)
+    for _ in range(100):
+        step = ((rate * s0 + a) * s0 * s0 - ss) / ((3.0 * rate * s0 + 2.0 * a) * s0)
+        s0 -= step
+        if step <= 1e-10 * s0:
+            break
+    r0 = rate * s0
+    g_shape = 0.5 * (a + r0)
+    for n in range(1, 1001):
+        x = math.sqrt(ss / (2.0 * rng.standard_gamma(g_shape))) / s0
+        if rng.standard_exponential() >= r0 * (x - 1.0 - math.log(x)):
+            return s0 * x, n
+    raise ComputationError(
+        f"effect scale draw (k={k}, ss={ss!r}) did not accept in 1000 proposals"
+    )
+
+
 def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws) -> dict:
     """One chain on the dense (datasets x algorithms) cell matrix ``y``.
 
@@ -335,8 +375,8 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     need the row and column sums of W and W*y and the matrix-vector products
     ``delta @ W`` and ``W @ alpha``: they are taken of ``lam`` (its sums are
     recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Writes
-    the kept draws into the views of ``kept`` and returns the slice samplers'
-    counters.
+    the kept draws into the views of ``kept`` and returns the sampler
+    counters: proposals per draw of sigma_a and sigma_d, and the df slice's.
     """
     rng = np.random.default_rng(seed)
     n_ds, n_alg = y.shape
@@ -362,13 +402,8 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     # exact sigma0 | rest: tau = 1/sigma0^2 ~ Gamma((n-1)/2, ss/2) on [tau_lo, tau_hi]
     tau_lo, tau_hi = spec.sigma0_high**-2, spec.sigma0_low**-2
 
-    w0 = spec.y_sd / 4.0
-    scale_floor = spec.y_sd * 1e-9  # keeps 1/s^2 finite in the slice evals
-    slices = {
-        "sigma_a": _SliceVar(w0, lower=scale_floor),
-        "sigma_d": _SliceVar(w0, lower=scale_floor),
-        "df": _SliceVar(10.0, lower=1e-6),
-    }
+    proposals = {}  # exact effect-scale draws: name -> proposals, all iterations
+    df_slice = _SliceVar(10.0, lower=1e-6)
 
     total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
     k = 0
@@ -425,20 +460,11 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         # sigma_a, sigma_d | rest: Gamma(mode/sd) prior on the scale itself
         if cfg.fixed_sigma_a is None:
-            ss_a = float(np.dot(alpha, alpha))
-
-            def logf_sigma_a(s, _ss=ss_a, _k=n_alg):
-                return (eff_shape - 1.0 - _k) * math.log(s) - eff_rate * s - _ss / (2.0 * s * s)
-
-            sigma_a = slices["sigma_a"].sample(sigma_a, logf_sigma_a, rng, adapt)
-
+            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, float(np.dot(alpha, alpha)))
+            proposals["sigma_a"] = proposals.get("sigma_a", 0) + m
         if cfg.fixed_sigma_d is None:
-            ss_d = float(np.dot(delta, delta))
-
-            def logf_sigma_d(s, _ss=ss_d, _k=n_ds):
-                return (eff_shape - 1.0 - _k) * math.log(s) - eff_rate * s - _ss / (2.0 * s * s)
-
-            sigma_d = slices["sigma_d"].sample(sigma_d, logf_sigma_d, rng, adapt)
+            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, float(np.dot(delta, delta)))
+            proposals["sigma_d"] = proposals.get("sigma_d", 0) + m
 
         if robust:
             # latent precision multipliers: conjugate Gamma update, 0 on missing cells
@@ -460,7 +486,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
                         - v * spec.df_rate
                     )
 
-                df = slices["df"].sample(df, logf_df, rng, adapt)
+                df = df_slice.sample(df, logf_df, rng, adapt)
 
         if it >= cfg.burn_in + cfg.adaptation:
             j = it - cfg.burn_in - cfg.adaptation
@@ -478,7 +504,10 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     for name, values in vars(kept).items():
         if values is not None and not np.isfinite(values).all():
             raise ComputationError(f"non-finite draws of {name} encountered")
-    return {name: v.counters() for name, v in slices.items() if v.updates}  # sampled ones
+    counters = {name: {"proposals_per_draw": m / total} for name, m in proposals.items()}
+    if df_slice.updates:
+        counters["df"] = df_slice.counters()
+    return counters  # sampled parameters only
 
 
 _worker_jobs = []  # a forked worker's copy of run_chains' jobs, inherited, never pickled
@@ -508,9 +537,9 @@ def run_chains(
     chains run sequentially or in parallel, nor on how many chains run.
     ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
     shared block; where ``fork`` is unavailable the chains run one after
-    another.  ``meta["slice"]`` holds, per chain, the log-density evaluations
-    per slice update and the final slice width of every sampled sigma_a,
-    sigma_d and df.
+    another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
+    every sampled sigma_a and sigma_d, and for a sampled df the log-density
+    evaluations per slice update and the final slice width.
     """
     if cfg is None:
         cfg = McmcConfig()

@@ -25,7 +25,7 @@ from benchstat import (
     save_draws,
 )
 from benchstat import banova
-from benchstat.banova import ChainDraws, PosteriorDraws, _truncated_gamma
+from benchstat.banova import ChainDraws, PosteriorDraws, _effect_scale, _truncated_gamma
 from benchstat.errors import ComputationError
 
 needs_fork = pytest.mark.skipif(
@@ -334,6 +334,54 @@ class TestTruncatedGamma:
         assert stats.kstest(x, lambda t: np.interp(t, grid, cum / cum[-1])).pvalue > 0.01
 
 
+class TestEffectScale:
+    """The exact sigma_a/sigma_d step: s^(shape-1-k) exp(-rate*s - ss/(2 s^2))."""
+
+    SHAPE, RATE = 1.2832, 6.3  # build_model's prior for a data sd of 0.09
+
+    @staticmethod
+    def integrated_cdf(shape, rate, k, ss):
+        """CDF of s by the trapezoid rule in u = log s, around the mode."""
+        a = k - shape
+        s0 = min(math.sqrt(ss / a), (ss / rate) ** (1.0 / 3.0))
+        for _ in range(200):
+            s0 -= ((rate * s0 + a) * s0 * s0 - ss) / ((3.0 * rate * s0 + 2.0 * a) * s0)
+        u0, sd = math.log(s0), 1.0 / math.sqrt(rate * s0 + 2.0 * ss / s0**2)
+        grid = np.linspace(u0 - 40.0 * sd, u0 + 40.0 * sd, 200_001)
+        logf = (shape - k) * (grid - u0) - rate * (np.exp(grid) - s0) - 0.5 * ss * (np.exp(-2.0 * grid) - s0**-2)
+        dens = np.exp(logf)
+        cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
+        return lambda s: np.interp(np.log(s), grid, cum / cum[-1])
+
+    @pytest.mark.parametrize("ss", [1e-12, 1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("k", [2, 3, 14, 115])
+    def test_matches_integrated_cdf(self, k, ss):
+        rng = np.random.default_rng([k, round(math.log10(ss)) + 12])
+        out = np.array([_effect_scale(rng, self.SHAPE, self.RATE, k, ss) for _ in range(20_000)])
+        assert (out[:, 0] > 0.0).all()
+        assert stats.kstest(out[:, 0], self.integrated_cdf(self.SHAPE, self.RATE, k, ss)).pvalue > 1e-3
+        assert out[:, 1].mean() <= 1.5  # proposals per draw
+
+    def test_zero_effects_give_a_positive_draw(self):
+        s, proposals = _effect_scale(np.random.default_rng(0), self.SHAPE, self.RATE, 14, 0.0)
+        assert 0.0 < s < 1e-100 and proposals >= 1
+
+    def test_proposal_cap_is_a_computation_error(self):
+        # a prior far stronger than the effects: the envelope is far too wide
+        with pytest.raises(ComputationError, match=r"^effect scale draw \(k=2, .* 1000 proposals$"):
+            _effect_scale(np.random.default_rng(0), 1e12, 1e12, 2, 1.0)
+
+    @pytest.mark.parametrize("n_alg, n_ds", [(2, 115), (14, 115)])
+    def test_chains_need_few_proposals(self, n_alg, n_ds):
+        # desk-like tables; with two algorithms the sigma_a posterior is wide
+        rng = np.random.default_rng(19)
+        m, _ = synthetic_matrix(rng, n_alg, n_ds)
+        cfg = McmcConfig(chains=2, burn_in=100, adaptation=100, kept=1000)
+        for chain in run_chains(build_model(m), m, cfg, seed=3).meta["slice"]:
+            assert 1.0 <= chain["sigma_a"]["proposals_per_draw"] <= 1.5
+            assert 1.0 <= chain["sigma_d"]["proposals_per_draw"] <= 1.5
+
+
 class TestPairwiseDifferences:
     def _draws(self):
         rng = np.random.default_rng(4)
@@ -555,9 +603,12 @@ class TestPersistence:
         assert len(counters) == 2
         for chain in counters:
             assert sorted(chain) == ["df", "sigma_a", "sigma_d"]
-            for values in chain.values():
-                assert values["evals_per_update"] >= 2.0  # slice start + an accepted point
-                assert values["width"] > 0.0
+            assert sorted(chain["df"]) == ["evals_per_update", "width"]
+            assert chain["df"]["evals_per_update"] >= 2.0  # slice start + an accepted point
+            assert chain["df"]["width"] > 0.0
+            for name in ("sigma_a", "sigma_d"):
+                assert list(chain[name]) == ["proposals_per_draw"]
+                assert chain[name]["proposals_per_draw"] >= 1.0
         path = tmp_path / "draws.bin"
         save_draws(draws, path)
         assert load_draws(path).meta["slice"] == counters
@@ -568,7 +619,8 @@ class TestPersistence:
         m, _ = synthetic_matrix(rng, 3, 6)
         cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5, fixed_sigma_a=0.03)
         draws = run_chains(build_model(m), m, cfg, seed=2)
-        assert [sorted(chain) for chain in draws.meta["slice"]] == [["sigma_d"], ["sigma_d"]]
+        assert [list(chain) for chain in draws.meta["slice"]] == [["sigma_d"], ["sigma_d"]]
+        assert all(list(chain["sigma_d"]) == ["proposals_per_draw"] for chain in draws.meta["slice"])
 
 
 class TestRobustVariant:
