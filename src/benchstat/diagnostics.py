@@ -177,7 +177,8 @@ def posterior_predictive_check(
         # pooled draw idx is draw i of chain c; read it where it is stored
         c, i = divmod(int(idx), p.draws_per_chain)
         chain = p.chains[c]
-        nu = chain.beta[i] + chain.alpha[i, ai] + chain.delta[i, di]
+        # effect draws are column-major: copy the draw's strided rows once, then gather
+        nu = chain.beta[i] + chain.alpha[i].copy()[ai] + chain.delta[i].copy()[di]
         s = chain.sigma0[i]
         t_real = float(((y - nu) ** 2).sum() / (s * s))
         y_rep = nu + rng.normal(0.0, s, size=nu.shape)

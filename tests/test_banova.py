@@ -342,13 +342,14 @@ class TestEffectScale:
     @staticmethod
     def integrated_cdf(shape, rate, k, ss):
         """CDF of s by the trapezoid rule in u = log s, around the mode."""
-        a = k - shape
-        s0 = min(math.sqrt(ss / a), (ss / rate) ** (1.0 / 3.0))
-        for _ in range(200):
-            s0 -= ((rate * s0 + a) * s0 * s0 - ss) / ((3.0 * rate * s0 + 2.0 * a) * s0)
+        roots = np.roots([rate, k - shape, 0.0, -ss])  # the mode solves this cubic
+        s0 = float(max(r.real for r in roots if abs(r.imag) < 1e-9 * abs(r)))
         u0, sd = math.log(s0), 1.0 / math.sqrt(rate * s0 + 2.0 * ss / s0**2)
         grid = np.linspace(u0 - 40.0 * sd, u0 + 40.0 * sd, 200_001)
-        logf = (shape - k) * (grid - u0) - rate * (np.exp(grid) - s0) - 0.5 * ss * (np.exp(-2.0 * grid) - s0**-2)
+        logf = (
+            (shape - k) * (grid - u0) - rate * (np.exp(grid) - s0)
+            - 0.5 * ss * (np.exp(-2.0 * grid) - s0**-2)
+        )
         dens = np.exp(logf)
         cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
         return lambda s: np.interp(np.log(s), grid, cum / cum[-1])
@@ -361,6 +362,12 @@ class TestEffectScale:
         assert (out[:, 0] > 0.0).all()
         assert stats.kstest(out[:, 0], self.integrated_cdf(self.SHAPE, self.RATE, k, ss)).pvalue > 1e-3
         assert out[:, 1].mean() <= 1.5  # proposals per draw
+
+    def test_prior_shape_above_k_matches_integrated_cdf(self):
+        # a prior with shape > k starts Newton from the other bound
+        rng = np.random.default_rng(20)
+        out = np.array([_effect_scale(rng, 4.0, self.RATE, 2, 1.0) for _ in range(20_000)])
+        assert stats.kstest(out[:, 0], self.integrated_cdf(4.0, self.RATE, 2, 1.0)).pvalue > 1e-3
 
     def test_zero_effects_give_a_positive_draw(self):
         s, proposals = _effect_scale(np.random.default_rng(0), self.SHAPE, self.RATE, 14, 0.0)
