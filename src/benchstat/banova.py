@@ -23,18 +23,15 @@ missing cells carry zero weight.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import json
 import math
 import mmap
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .data import AggregatedMatrix
 from .errors import ComputationError, InputError
@@ -288,6 +285,10 @@ def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> fl
     tau = rng.standard_gamma(shape) / rate
     if lo <= tau <= hi:
         return tau
+    # scipy.special takes about a quarter second to import and only this
+    # fallback needs it, so a run whose draws all land in [lo, hi] skips it
+    from scipy import special
+
     a, b = rate * lo, rate * hi
     if a > shape:
         cdf, inverse = special.gammaincc, special.gammainccinv
@@ -566,6 +567,10 @@ def run_chains(
     chains = [_chain_from_matrix(rows.T, n_alg, n_ds, robust) for rows in block]
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
     jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, chains)]
+    if workers > 1:
+        # imported here, as a one-worker run never needs them
+        import concurrent.futures
+        import multiprocessing
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         with concurrent.futures.ProcessPoolExecutor(
             workers,

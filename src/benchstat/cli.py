@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import secrets
 import sys
 from pathlib import Path
 
@@ -67,6 +66,8 @@ def _usable_cpus() -> int:
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
     if seed is None:
+        import secrets  # only a run without --seed draws from entropy
+
         seed = secrets.randbits(32)
         return seed, f"# seed: {seed} (drawn from entropy; pass --seed {seed} to replay)\n"
     return seed, f"# seed: {seed}\n"

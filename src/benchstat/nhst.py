@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError
 from .ranks import RankMatrix
@@ -53,6 +52,9 @@ def chi_square_sf(x: float, k: int) -> float:
         raise InputError(f"chi_square_sf requires x >= 0, got {x}")
     if k < 1:
         raise InputError(f"chi_square_sf requires k >= 1, got {k}")
+    # imported at the call, so commands without a Friedman test skip it
+    from scipy import special
+
     return float(special.gammaincc(k / 2.0, x / 2.0))
 
 

@@ -333,6 +333,38 @@ class TestTruncatedGamma:
         assert ((lo <= x) & (x <= hi)).all()
         assert stats.kstest(x, lambda t: np.interp(t, grid, cum / cum[-1])).pvalue > 0.01
 
+    @pytest.mark.parametrize(
+        "shape, rate, lo, hi",
+        [
+            (3.0, 1.0, 25.0, 40.0),  # probability about 4e-9: the inverse CDF
+            (3.0, 1.0, 1000.0, 2000.0),  # probability underflows: the far tail
+        ],
+    )
+    def test_cold_interpreter_draws_match_in_process(self, shape, rate, lo, hi):
+        # the fallback imports scipy.special on first use; a process that has
+        # not loaded it yet must draw the same values from the same seed
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import numpy as np\n"
+            "from benchstat.banova import _truncated_gamma\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "rng = np.random.default_rng(19)\n"
+            "args = [float(a) for a in sys.argv[2:]]\n"
+            "print(before, *(repr(_truncated_gamma(rng, *args)) for _ in range(5)))\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(banova.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", code, src, *map(repr, (shape, rate, lo, hi))],
+            capture_output=True, text=True, check=True,
+        )
+        first, second = run.stdout.splitlines()
+        before, *cold = first.split()
+        assert (before, second) == ("False", "True")
+        rng = np.random.default_rng(19)
+        assert [float(x) for x in cold] == [_truncated_gamma(rng, shape, rate, lo, hi) for _ in range(5)]
+
 
 class TestEffectScale:
     """The exact sigma_a/sigma_d step: s^(shape-1-k) exp(-rate*s - ss/(2 s^2))."""

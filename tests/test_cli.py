@@ -2,6 +2,9 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from benchstat.data import error_table_to_csv
 from benchstat.cli import main
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -332,3 +336,54 @@ class TestNumberFormatting:
         for token in re.findall(r",(\d+\.\d+)", out):
             digits = token.replace(".", "").lstrip("0")
             assert len(digits) <= 6, token
+
+
+def run_fresh(body: str, *args) -> list:
+    """Run ``body`` in a new interpreter after ``from benchstat.cli import main``;
+    ``argv`` holds ``args`` as strings.  Returns the stdout lines."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv.pop(1))\n"
+        "from benchstat.cli import main\n"
+        "argv = sys.argv[1:]\n"
+        "def loaded(*prefixes):\n"
+        "    return ' '.join(sorted(m for m in sys.modules if m.startswith(prefixes)))\n"
+    ) + body
+    src = os.path.dirname(os.path.dirname(banova.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", code, src, *map(str, args)],
+        capture_output=True, text=True, check=True,
+    )
+    return run.stdout.splitlines()
+
+
+class TestColdStart:
+    """Commands import scipy and the process pool only where they use them."""
+
+    def test_commands_without_scipy_never_load_it(self, tmp_path):
+        body = (
+            "errors, draws, out = argv\n"
+            "for cmd in (['rank', errors], ['threshold', errors],\n"
+            "            ['bayes', errors, '--load', draws],\n"
+            "            ['ppc', draws, errors, '--seed', '5', '--n-draws', '50']):\n"
+            "    assert main(cmd + ['--out', out]) == 0, cmd\n"
+            "print(loaded('scipy'))\n"
+            "assert main(['bayes', errors, '--threads', '1', '--seed', '3', '--chains', '2',\n"
+            "             '--burn-in', '50', '--adaptation', '50', '--kept', '50', '--out', out]) == 0\n"
+            "print(loaded('multiprocessing', 'concurrent.futures'))\n"
+        )
+        lines = run_fresh(body, GOLDEN / "errors.csv", GOLDEN / "legacy-v1.draws", tmp_path / "out")
+        assert lines == ["", ""]
+
+    def test_cold_nhst_reproduces_golden_bytes(self, tmp_path):
+        # the Friedman chi-square tail imports scipy.special at the call
+        out = tmp_path / "nhst.csv"
+        body = (
+            "errors, out = argv\n"
+            "print(loaded('scipy.special'))\n"
+            "assert main(['nhst', errors, '--rank-scheme', 'dense', '--alpha', '1e-9', '--out', out]) == 0\n"
+            "print(loaded('scipy.special'))\n"
+        )
+        before, after = run_fresh(body, GOLDEN / "errors.csv", out)
+        assert (before, after.split()[0]) == ("", "scipy.special")
+        assert out.read_bytes() == (GOLDEN / "nhst-dense-skipped-csv.csv").read_bytes()
