@@ -12,14 +12,13 @@ representation with one latent precision multiplier per cell.
 Sampling is component-wise: conjugate normal draws for the location
 parameters (vectorized over algorithms and over datasets), an exact draw of
 sigma0 (1/sigma0^2 is Gamma-distributed, truncated to the prior's range),
-exact draws of sigma_a and sigma_d (rejection from a tangent envelope of
-their log-concave conditionals), univariate slice sampling for the degrees
-of freedom, plus two exact translation moves that trade mass between the
-grand mean and each block of effects to break the additive
-non-identifiability's slow mixing.  Every update of the normal variant is
-exact, so its adaptation phase acts as burn-in; only the df slice adapts.
-The cells are held as a dense (datasets x algorithms) matrix in which
-missing cells carry zero weight.
+exact draws of sigma_a, sigma_d and the degrees of freedom (rejection from
+tangent envelopes), plus two exact translation moves that trade mass between
+the grand mean and each block of effects to break the additive
+non-identifiability's slow mixing.  Every update is an exact draw, so
+nothing adapts and the adaptation phase acts as more burn-in.  The cells
+are held as a dense (datasets x algorithms) matrix in which missing cells
+carry zero weight.
 """
 from __future__ import annotations
 
@@ -110,10 +109,8 @@ class McmcConfig:
     """Chain layout and optional parameter pins.
 
     Desk-scale defaults; ``paper()`` mirrors the published run (4 chains,
-    5000 burn-in, 5000 adaptation, 100000 total kept iterations).  The df
-    slice width adapts only during the adaptation phase and is frozen
-    afterwards; every other update is exact, so for the normal variant the
-    adaptation phase is more burn-in.
+    5000 burn-in, 5000 adaptation, 100000 total kept iterations).  Every
+    update is an exact draw, so the adaptation phase is more burn-in.
     Pinning a scale parameter (or df) skips its update entirely, which is
     what the analytic sampler oracle and the large-df robust limit use.
     Up to ``n_jobs`` chains run at once, in forked worker processes; the
@@ -208,67 +205,6 @@ class PosteriorDraws:
         scales = ("sigma0", "sigma_a", "sigma_d") + (("df",) if self.variant == "robust" else ())
         for name in scales:
             yield name, np.stack([getattr(c, name) for c in self.chains])
-
-
-class _SliceVar:
-    """Univariate slice sampler with step-out, shrinkage and width adaptation.
-
-    Counts its updates and log-density evaluations for the sampler counters.
-    """
-
-    def __init__(self, width: float, lower: float = 0.0, upper: float = math.inf):
-        self.width = width
-        self.lower = lower
-        self.upper = upper
-        self.updates = 0  # accepted updates
-        self.evals = 0  # log-density evaluations of those updates
-
-    def counters(self) -> dict:
-        return {"evals_per_update": self.evals / self.updates, "width": self.width}
-
-    def sample(self, x0: float, logf, rng, adapt: bool) -> float:
-        lower, upper, w = self.lower, self.upper, self.width
-        f0 = logf(x0)
-        if not math.isfinite(f0):
-            raise ComputationError(
-                f"non-finite log-density at slice start x={x0!r} (logf={f0!r})"
-            )
-        logy = f0 - rng.standard_exponential()
-        left = x0 - w * rng.random()
-        right = left + w
-        evals = 1
-        # step out, respecting the support bounds
-        for _ in range(64):
-            if left <= lower:
-                break
-            evals += 1
-            if logf(left) <= logy:
-                break
-            left -= w
-        for _ in range(64):
-            if right >= upper:
-                break
-            evals += 1
-            if logf(right) <= logy:
-                break
-            right += w
-        left = max(left, lower)
-        right = min(right, upper)
-        # shrinkage
-        for _ in range(200):
-            x1 = left + (right - left) * rng.random()
-            evals += 1
-            if logf(x1) >= logy:
-                if adapt:
-                    self.width = max(1e-12, 0.9 * w + 0.2 * abs(x1 - x0))
-                self.updates += 1
-                self.evals += evals
-                return x1
-            if x1 < x0:
-                left = x1
-            else:
-                right = x1
-        raise ComputationError(f"slice shrinkage failed to accept around x={x0!r}")
 
 
 def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> float:
@@ -367,6 +303,67 @@ def _effect_scale(rng, shape: float, rate: float, k: int, ss: float) -> tuple:
     )
 
 
+def _binet(h: float) -> float:
+    """Binet's remainder R(h) = lgamma(h) - (h - 1/2) log h + h - log(2 pi)/2."""
+    return math.lgamma(h) - (h - 0.5) * math.log(h) + h - 0.5 * math.log(2.0 * math.pi)
+
+
+def _binet_slopes(h: float) -> tuple:
+    """R'(h) and R''(h) of Binet's remainder (:func:`_binet`), h > 0.
+
+    R'(h) = psi(h) - log h + 1/(2h) and R''(h) = psi'(h) - 1/h - 1/(2h^2).
+    The digamma and trigamma recurrences shift h up to x >= 10, where the
+    asymptotic series, free of cancellation, are good to about 1e-15.
+    """
+    x, d1, d2 = h, 0.0, 0.0
+    while x < 10.0:
+        d1 += 1.0 / x
+        d2 += 1.0 / (x * x)
+        x += 1.0
+    u = 1.0 / (x * x)
+    # coefficients -B_2k/(2k) and B_2k, k = 1..6, of the Bernoulli numbers B_2k
+    r1 = -u * (1 / 12 - u * (1 / 120 - u * (1 / 252 - u * (
+        1 / 240 - u * (1 / 132 - u * 691 / 32760)))))
+    r2 = u / x * (1 / 6 - u * (1 / 30 - u * (1 / 42 - u * (
+        1 / 30 - u * (5 / 66 - u * 691 / 2730)))))
+    if x != h:  # psi(h) = psi(x) - d1 and psi'(h) = psi'(x) + d2
+        r1 += math.log(x / h) - 0.5 / x + 0.5 / h - d1
+        r2 += 1.0 / x + 0.5 * u + d2 - 1.0 / h - 0.5 / (h * h)
+    return r1, r2
+
+
+def _degrees_of_freedom(rng, n: int, c: float) -> tuple:
+    """One exact draw of the student-t df given n latent precisions lam.
+
+    With h = df/2 and c = sum(lam - log lam - 1) + 2 df_rate > 0, the
+    conditional of h is h^(n/2) exp(-c h - n R(h)), R Binet's remainder.  R
+    is convex, so the tangent of -n R at h0 lies above it: the envelope is
+    Gamma(n/2 + 1, c + n R'(h0)), and a proposal h is kept with probability
+    exp(-n [R(h) - R(h0) - R'(h0) (h - h0)]) (Devroye 1986, ch. VII).  h0 is
+    the mode, where that rate is n/(2 h0).  Returns the draw and the number
+    of proposals it took.
+    """
+    # g'(h) = n/(2h) - c - n R'(h) is decreasing and convex, and positive at
+    # n/(2c) (as log h - psi(h) > 1/(2h)): Newton climbs from there to the mode
+    h0 = n / (2.0 * c)
+    for _ in range(100):
+        r1, r2 = _binet_slopes(h0)
+        step = (n / (2.0 * h0) - c - n * r1) / (n / (2.0 * h0 * h0) + n * r2)
+        if step <= 1e-3 * h0:  # then the rate below is still above n/(2 h0) (1 - 2e-3)
+            break
+        h0 += step
+    rate = c + n * r1
+    shape = 0.5 * n + 1.0
+    b0 = _binet(h0)
+    for m in range(1, 1001):
+        h = rng.standard_gamma(shape) / rate
+        if rng.standard_exponential() >= n * (_binet(h) - b0 - r1 * (h - h0)):
+            return 2.0 * h, m
+    raise ComputationError(
+        f"degrees-of-freedom draw (n={n}, c={c!r}) did not accept in 1000 proposals"
+    )
+
+
 def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws) -> dict:
     """One chain on the dense (datasets x algorithms) cell matrix ``y``.
 
@@ -377,7 +374,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     ``delta @ W`` and ``W @ alpha``: they are taken of ``lam`` (its sums are
     recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Writes
     the kept draws into the views of ``kept`` and returns the sampler
-    counters: proposals per draw of sigma_a and sigma_d, and the df slice's.
+    counters: proposals per draw of sigma_a, sigma_d and df.
     """
     rng = np.random.default_rng(seed)
     n_ds, n_alg = y.shape
@@ -403,8 +400,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     # exact sigma0 | rest: tau = 1/sigma0^2 ~ Gamma((n-1)/2, ss/2) on [tau_lo, tau_hi]
     tau_lo, tau_hi = spec.sigma0_high**-2, spec.sigma0_low**-2
 
-    proposals = {}  # exact effect-scale draws: name -> proposals, all iterations
-    df_slice = _SliceVar(10.0, lower=1e-6)
+    proposals = {}  # exact draws by rejection: name -> proposals, all iterations
 
     total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
     k = 0
@@ -418,7 +414,6 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
     col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
     for it in range(total):
-        adapt = cfg.burn_in <= it < cfg.burn_in + cfg.adaptation
         inv_s0sq = 1.0 / (sigma0 * sigma0)
         z = rng.standard_normal(1 + n_alg + n_ds + 2)
 
@@ -474,20 +469,11 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
             np.maximum(lam, lam_floor, out=lam)
             col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
 
+            # df | lam: c = sum(lam - log lam - 1) over present cells + 2 df_rate
             if cfg.fixed_df is None:
-                s1 = float(np.log(lam + missing).sum())
-                s2 = float(sum_l)
-
-                def logf_df(v, _s1=s1, _s2=s2, _n=n):
-                    h = v / 2.0
-                    return (
-                        _n * (h * math.log(h) - math.lgamma(h))
-                        + (h - 1.0) * _s1
-                        - h * _s2
-                        - v * spec.df_rate
-                    )
-
-                df = df_slice.sample(df, logf_df, rng, adapt)
+                c = float(sum_l) - float(np.log(lam + missing).sum()) - n + 2.0 * spec.df_rate
+                df, m = _degrees_of_freedom(rng, n, c)
+                proposals["df"] = proposals.get("df", 0) + m
 
         if it >= cfg.burn_in + cfg.adaptation:
             j = it - cfg.burn_in - cfg.adaptation
@@ -505,10 +491,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     for name, values in vars(kept).items():
         if values is not None and not np.isfinite(values).all():
             raise ComputationError(f"non-finite draws of {name} encountered")
-    counters = {name: {"proposals_per_draw": m / total} for name, m in proposals.items()}
-    if df_slice.updates:
-        counters["df"] = df_slice.counters()
-    return counters  # sampled parameters only
+    return {name: {"proposals_per_draw": m / total} for name, m in proposals.items()}
 
 
 _worker_jobs = []  # a forked worker's copy of run_chains' jobs, inherited, never pickled
@@ -539,8 +522,7 @@ def run_chains(
     ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
     shared block; where ``fork`` is unavailable the chains run one after
     another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
-    every sampled sigma_a and sigma_d, and for a sampled df the log-density
-    evaluations per slice update and the final slice width.
+    every sampled sigma_a, sigma_d and df.
     """
     if cfg is None:
         cfg = McmcConfig()

@@ -20,14 +20,13 @@ class PsrfResult:
         return self.point_estimate is not None
 
 
-def psrf(chains, corrected: bool = False, split: bool = False) -> PsrfResult:
+def psrf(chains, split: bool = False) -> PsrfResult:
     """Gelman-Rubin potential scale reduction factor of one scalar parameter.
 
     ``chains`` is an (m, n) array-like of m chains of length n.  The base
-    estimator is sqrt(Var+/W) with Var+ = ((n-1)/n) W + B/n; ``corrected``
-    adds the (d+3)/(d+1) sampling-variability factor, ``split`` halves each
-    chain first.  Constant chains make the ratio 0/0 and the result is
-    reported as undefined rather than NaN.
+    estimator is sqrt(Var+/W) with Var+ = ((n-1)/n) W + B/n; ``split``
+    halves each chain first.  Constant chains make the ratio 0/0 and the
+    result is reported as undefined rather than NaN.
     """
     x = np.asarray(chains, dtype=float)
     if x.ndim != 2:
@@ -48,24 +47,7 @@ def psrf(chains, corrected: bool = False, split: bool = False) -> PsrfResult:
     if w == 0.0:
         return PsrfResult(None)
     var_plus = (n - 1) / n * w + b_over_n
-    r_hat = float(np.sqrt(var_plus / w))
-    if corrected:
-        # Brooks & Gelman (1998) degrees-of-freedom adjustment
-        b = n * b_over_n
-        v_hat = var_plus + b / (m * n)
-        var_w = float(chain_vars.var(ddof=1)) / m
-        cov_wm2 = float(np.cov(chain_vars, chain_means**2, ddof=1)[0, 1])
-        cov_wm = float(np.cov(chain_vars, chain_means, ddof=1)[0, 1])
-        xbar = float(chain_means.mean())
-        var_v = (
-            ((n - 1) / n) ** 2 * var_w
-            + ((m + 1) / (m * n)) ** 2 * 2.0 / (m - 1) * b * b
-            + 2.0 * (m + 1) * (n - 1) / (m * n * n) * n / m * (cov_wm2 - 2.0 * xbar * cov_wm)
-        )
-        if var_v > 0:
-            d = 2.0 * v_hat * v_hat / var_v
-            r_hat = float(np.sqrt((d + 3.0) / (d + 1.0) * v_hat / w))
-    return PsrfResult(r_hat)
+    return PsrfResult(float(np.sqrt(var_plus / w)))
 
 
 def _fft_size(m: int) -> int:

@@ -25,7 +25,15 @@ from benchstat import (
     save_draws,
 )
 from benchstat import banova
-from benchstat.banova import ChainDraws, PosteriorDraws, _effect_scale, _truncated_gamma
+from benchstat.banova import (
+    ChainDraws,
+    PosteriorDraws,
+    _binet,
+    _binet_slopes,
+    _degrees_of_freedom,
+    _effect_scale,
+    _truncated_gamma,
+)
 from benchstat.errors import ComputationError
 
 needs_fork = pytest.mark.skipif(
@@ -421,6 +429,66 @@ class TestEffectScale:
             assert 1.0 <= chain["sigma_d"]["proposals_per_draw"] <= 1.5
 
 
+class TestDegreesOfFreedom:
+    """The exact df step: h = df/2 has density h^(n/2) exp(-c h - n R(h))."""
+
+    @staticmethod
+    def binet(h):
+        return special.gammaln(h) - (h - 0.5) * np.log(h) + h - 0.5 * math.log(2.0 * math.pi)
+
+    @classmethod
+    def integrated_cdf(cls, n, c, h0):
+        """CDF of df by the trapezoid rule in u = log h, around h0."""
+        u0, sd = math.log(h0), 1.0 / math.sqrt(0.5 * n + 1.0)  # about the spread of u
+        grid = np.linspace(u0 - 40.0 * sd, u0 + 40.0 * sd, 200_001)
+        h = np.exp(grid)
+        logf = (0.5 * n + 1.0) * grid - c * h - n * cls.binet(h)
+        dens = np.exp(logf - logf.max())
+        cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
+        return lambda df: np.interp(np.log(df / 2.0), grid, cum / cum[-1])
+
+    @pytest.mark.parametrize("df", [0.05, 1.0, 2.4, 30.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 18, 1610])
+    def test_matches_integrated_cdf(self, n, df):
+        h0 = df / 2.0
+        c = n * (math.log(h0) - float(special.digamma(h0)))  # puts the mode of h at h0
+        rng = np.random.default_rng([n, round(10.0 * math.log10(df)) + 20])
+        out = np.array([_degrees_of_freedom(rng, n, c) for _ in range(4000)])
+        assert (out[:, 0] > 0.0).all()
+        assert stats.kstest(out[:, 0], self.integrated_cdf(n, c, h0)).pvalue > 1e-3
+        assert out[:, 1].mean() <= 1.5  # proposals per draw
+
+    def test_binet_matches_scipy(self):
+        h = np.geomspace(1e-3, 1e4, 2001)
+        slopes = np.array([_binet_slopes(x) for x in h])
+        np.testing.assert_allclose(
+            slopes[:, 0], special.digamma(h) - np.log(h) + 0.5 / h, rtol=1e-11, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            slopes[:, 1], special.polygamma(1, h) - 1.0 / h - 0.5 / h**2, rtol=1e-11, atol=1e-17
+        )
+        # R is lgamma less Stirling's formula, so both sides carry lgamma's
+        # rounding: a few ulp of lgamma(h), about 3e-11 at h = 1e4
+        lgamma = special.gammaln(h)
+        error = np.abs(np.array([_binet(x) for x in h]) - self.binet(h))
+        assert (error <= 1e-11 + 4.0 * np.spacing(np.abs(lgamma))).all()
+
+    def test_non_finite_input_is_a_computation_error(self):
+        with pytest.raises(ComputationError, match=r"^degrees-of-freedom draw \(n=5, c=nan\)"):
+            _degrees_of_freedom(np.random.default_rng(0), 5, math.nan)
+
+    def test_chains_need_few_proposals(self):
+        # a desk-like table with student-t noise of 2.4 degrees of freedom
+        rng = np.random.default_rng(21)
+        alphas = rng.normal(0, 0.03, 14)
+        values = 0.25 + alphas[None, :] + rng.normal(0, 0.08, (115, 1))
+        m = make_matrix(values + 0.02 * rng.standard_t(2.4, (115, 14)))
+        cfg = McmcConfig(chains=2, burn_in=100, adaptation=100, kept=1000)
+        for chain in run_chains(build_model(m, "robust"), m, cfg, seed=3).meta["slice"]:
+            for name in ("sigma_a", "sigma_d", "df"):
+                assert 1.0 <= chain[name]["proposals_per_draw"] <= 1.5, name
+
+
 class TestPairwiseDifferences:
     def _draws(self):
         rng = np.random.default_rng(4)
@@ -642,10 +710,7 @@ class TestPersistence:
         assert len(counters) == 2
         for chain in counters:
             assert sorted(chain) == ["df", "sigma_a", "sigma_d"]
-            assert sorted(chain["df"]) == ["evals_per_update", "width"]
-            assert chain["df"]["evals_per_update"] >= 2.0  # slice start + an accepted point
-            assert chain["df"]["width"] > 0.0
-            for name in ("sigma_a", "sigma_d"):
+            for name in ("sigma_a", "sigma_d", "df"):
                 assert list(chain[name]) == ["proposals_per_draw"]
                 assert chain[name]["proposals_per_draw"] >= 1.0
         path = tmp_path / "draws.bin"

@@ -375,6 +375,17 @@ class TestColdStart:
         lines = run_fresh(body, GOLDEN / "errors.csv", GOLDEN / "legacy-v1.draws", tmp_path / "out")
         assert lines == ["", ""]
 
+    def test_robust_bayes_never_loads_scipy(self, tmp_path):
+        # the exact df draw takes digamma and trigamma from its own series
+        body = (
+            "errors, out = argv\n"
+            "assert main(['bayes', errors, '--variant', 'robust', '--threads', '1', '--seed', '3',\n"
+            "             '--chains', '2', '--burn-in', '50', '--adaptation', '50', '--kept', '50',\n"
+            "             '--out', out]) == 0\n"
+            "print(loaded('scipy'))\n"
+        )
+        assert run_fresh(body, GOLDEN / "errors.csv", tmp_path / "out") == [""]
+
     def test_cold_nhst_reproduces_golden_bytes(self, tmp_path):
         # the Friedman chi-square tail imports scipy.special at the call
         out = tmp_path / "nhst.csv"
