@@ -135,8 +135,8 @@ class McmcConfig:
     def validate(self):
         if self.chains < 2:
             raise InputError("diagnostics require at least 2 chains")
-        if self.kept < 1:
-            raise InputError("kept draws must be >= 1")
+        if self.kept < 2:
+            raise InputError("diagnostics require at least 2 kept draws per chain")
         if self.burn_in < 0 or self.adaptation < 0:
             raise InputError("burn_in and adaptation must be >= 0")
         if self.thinning < 1:

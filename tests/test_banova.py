@@ -133,6 +133,17 @@ class TestRunChains:
         with pytest.raises(InputError, match="kept"):
             run_chains(spec, m, McmcConfig(kept=0), seed=0)
 
+    def test_one_kept_draw_rejected_before_sampling(self, monkeypatch):
+        # psrf needs two draws per chain; no chain may run first
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(banova, "_run_chain", no_chain)
+        m = make_matrix([[0.1, 0.3], [0.2, 0.4]])
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=1)
+        with pytest.raises(InputError, match="^diagnostics require at least 2 kept draws per chain$"):
+            run_chains(build_model(m), m, cfg, seed=0)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("pin", ["fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df"])
     def test_pins_must_be_positive(self, pin, value):

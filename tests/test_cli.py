@@ -191,6 +191,11 @@ class TestBayesCommand:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: a chain's worker process died")
 
+    def test_one_kept_draw_exit_2(self, synth_csv, capsys):
+        assert main(["bayes", synth_csv, "--kept", "1", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: diagnostics require at least 2 kept draws per chain\n"
+
     def test_bad_config_key_exit_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
         cfg.write_text("warmup=50\n")

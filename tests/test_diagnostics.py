@@ -20,7 +20,7 @@ from benchstat import (
 )
 from benchstat.banova import ChainDraws, PosteriorDraws
 from benchstat.data import AggregatedMatrix
-from benchstat.diagnostics import _chain_ess, _fft_size
+from benchstat.diagnostics import _DIRECT_LAGS, _chain_ess, _fft_size
 
 
 def geyer_ess_loop(x):
@@ -43,6 +43,28 @@ def geyer_ess_loop(x):
         tau += 2.0 * gamma
         m += 1
     return n / max(tau, 1.0 / n)
+
+
+def stop_lag(x):
+    """First lag 2m whose Geyer pair sum rho[2m] + rho[2m+1] is nonpositive."""
+    n = len(x)
+    x = x - x.mean()
+    rho = np.correlate(x, x, "full")[n - 1 :] / np.dot(x, x)
+    pairs = rho[0 : n - 1 : 2] + rho[1:n:2]
+    return 2 * int(np.argmax(pairs <= 0.0)) if (pairs <= 0.0).any() else n
+
+
+def count_rfft(monkeypatch):
+    """Record the shape of every ``np.fft.rfft`` input; return the list."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
 
 
 def ar1(rng, phi, n):
@@ -162,6 +184,50 @@ class TestEss:
         with pytest.raises(InputError, match="constant chain"):
             _chain_ess(x)
 
+    @pytest.mark.parametrize("n", [2, 3, 999, 1000, 4000, 4001])
+    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5, 0.9, 0.99, "walk"])
+    def test_direct_lags_match_loop(self, phi, n):
+        rng = np.random.default_rng(12)
+        x = np.cumsum(rng.standard_normal(n)) if phi == "walk" else ar1(rng, phi, n)
+        assert _chain_ess(x) == pytest.approx(geyer_ess_loop(x), rel=1e-12)
+
+    def test_rows_on_both_sides_of_the_cutoff_in_one_call(self):
+        rng = np.random.default_rng(13)
+        n = 5000
+        x = np.stack(
+            [ar1(rng, phi, n) for phi in (0.0, 0.5, 0.99)] + [np.cumsum(rng.standard_normal(n))]
+        )
+        ends = [stop_lag(row) for row in x]
+        assert min(ends) < _DIRECT_LAGS < max(ends)
+        for row, value in zip(x, _chain_ess(x)):
+            assert value == pytest.approx(geyer_ess_loop(row), rel=1e-12)
+
+    def test_well_mixed_rows_need_no_fft(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = np.stack([ar1(rng, 0.0, 5000) for _ in range(4)])
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the FFT ran on well-mixed rows")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        ess = _chain_ess(x)
+        monkeypatch.undo()
+        for row, value in zip(x, ess):
+            assert value == pytest.approx(geyer_ess_loop(row), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 999])
+    def test_short_chains_take_the_fft_at_once(self, monkeypatch, n):
+        x = np.random.default_rng(16).standard_normal((4, n))
+        calls = count_rfft(monkeypatch)
+        _chain_ess(x)
+        assert calls == [(4, n)]
+
+    def test_slowly_mixing_row_reaches_the_fft(self, monkeypatch):
+        x = ar1(np.random.default_rng(15), 0.99, 5000)
+        calls = count_rfft(monkeypatch)
+        _chain_ess(x)
+        assert calls == [(1, x.size)]
+
     def test_fft_size_is_the_smallest_5_smooth_length(self):
         def smooth(m):
             for p in (2, 3, 5):
@@ -225,6 +291,21 @@ class TestDiagnosticReport:
         _, draws = small_fit(variant="robust")
         names = {row.parameter for row in diagnostic_report(draws)}
         assert "df" in names
+
+    def test_robust_report_matches_per_chain_loop(self, monkeypatch):
+        # sigma0 and df mix slowly here: a df row runs past the direct lags
+        # into the FFT, the other rows stop before
+        _, draws = small_fit(variant="robust", kept=2000)
+        calls = count_rfft(monkeypatch)
+        rows = diagnostic_report(draws)
+        assert 0 < sum(shape[0] for shape in calls) < draws.n_chains * len(rows)
+        params = dict(draws.scalar_chains())
+        assert [row.parameter for row in rows] == list(params)
+        for row in rows:
+            chains = params[row.parameter]
+            expected = sum(geyer_ess_loop(chain) for chain in chains)
+            assert row.ess == pytest.approx(expected, rel=1e-12)
+            assert row.r_hat == psrf(chains).point_estimate
 
     def test_peak_memory_stays_near_the_held_draws(self):
         # the report stacks one parameter's chains at a time, not all of them
