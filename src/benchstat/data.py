@@ -5,13 +5,30 @@ split in two halves (subsets 1 and 2), an algorithm is trained on one half and
 tested on the other, optionally recording the inner cross-validation estimate
 of the error at the selected hyperparameters.  Timing tables follow the same
 long-form layout with wall-clock measurements.
+
+A table is held as a dense cube indexed by (dataset, algorithm, subset):
+datasets and algorithms in sorted name order, subset 1 or 2 at index 0 or 1.
+Each value column of the record type (``test_error`` and ``cv_error``, or the
+two times and ``n_hyper_combos``) is one cube in ``cubes``; ``present`` marks
+the cells that hold a record and ``order`` gives each cell's position in the
+input (-1 where absent).  A float cube is NaN where its value is absent: in
+a cell without a record, and in ``cv_error`` where no CV estimate was
+recorded.  Every analysis of the table is an array operation on these cubes.
+The records themselves are built, in input order, only when asked for.
+
+Ingestion converts each CSV column once and checks every rule on whole
+columns.  When some check fails, the rows are walked in order through the
+per-row rule, so that the error names the first offending row, its file line
+and the rule it broke, as a row-at-a-time parser would.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -62,6 +79,9 @@ class TimingRecord:
     def __post_init__(self):
         if self.subset not in (1, 2):
             raise InputError(f"unknown subset value: {self.subset!r}")
+        for name in ("train_test_seconds", "hyper_search_seconds"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} not finite: {getattr(self, name)}")
         if self.train_test_seconds < 0 or self.hyper_search_seconds < 0:
             raise InputError("negative time")
         if self.n_hyper_combos < 1:
@@ -72,42 +92,216 @@ class TimingRecord:
         return self.hyper_search_seconds / self.n_hyper_combos
 
 
-class _RecordTable:
-    """Immutable collection of records keyed by (dataset, algorithm, subset)."""
+class _Rejected(Exception):
+    """Some row breaks a rule; the per-row walk finds which."""
 
-    def __init__(self, records: Iterable, lines: Optional[list] = None):
-        """``lines`` holds each record's input file line, for error messages."""
-        self.records = tuple(records)
-        self._index = {}
-        for n, rec in enumerate(self.records):
-            key = (rec.dataset, rec.algorithm, rec.subset)
-            if key in self._index:
-                if lines is None:
-                    raise InputError(f"duplicate key {key}")
-                first = next(i for i, r in enumerate(self.records) if r is self._index[key])
-                raise InputError(
-                    f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first]})"
+
+def _number(kind, text: str, column: str):
+    try:
+        return kind(text)  # float and int ignore surrounding whitespace
+    except ValueError:
+        raise InputError(f"malformed {column} value {text.strip()!r}") from None
+
+
+def _floats(texts) -> np.ndarray:
+    # raises ValueError where float(text) does, like _number
+    return np.fromiter(map(float, texts), float, len(texts))
+
+
+def _in_unit_interval(x: np.ndarray) -> bool:
+    return bool(((x >= 0.0) & (x <= 1.0)).all())  # False for NaN
+
+
+def _duplicate_error(keys: list, lines: Optional[list]) -> InputError:
+    """The error for the first key in ``keys`` that repeats an earlier one."""
+    first = {}
+    for n, key in enumerate(keys):
+        if key in first:
+            if lines is None:
+                return InputError(f"duplicate key {key}")
+            return InputError(
+                f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first[key]]})"
+            )
+        first[key] = n
+    raise ValueError("no repeated key")
+
+
+class _RecordTable:
+    """Immutable collection of records keyed by (dataset, algorithm, subset).
+
+    Held as the cube the module docstring describes; ``records`` lists the
+    records in input order.
+    """
+
+    record: type
+    headers: tuple  # accepted CSV headers; the first is the one error messages name
+    columns: dict  # value column -> its dtype when built from records (None: inferred)
+
+    def __init__(self, records: Iterable):
+        records = tuple(records)
+        self._build(
+            [r.dataset for r in records],
+            [r.algorithm for r in records],
+            [r.subset for r in records],
+            [
+                np.array([getattr(r, name) for r in records], dtype=dtype)
+                for name, dtype in self.columns.items()
+            ],
+        )
+        self._records = records
+
+    def _build(self, datasets: list, algorithms: list, subsets: list, values: list, lines=None):
+        """Scatter checked columns, one entry per row, into the cube."""
+        self.datasets = tuple(sorted(set(datasets)))
+        self.algorithms = tuple(sorted(set(algorithms)))
+        self._dataset_index = {d: i for i, d in enumerate(self.datasets)}
+        self._algorithm_index = {a: i for i, a in enumerate(self.algorithms)}
+        n = len(subsets)
+        shape = (len(self.datasets), len(self.algorithms), 2)
+        cell = np.ravel_multi_index(
+            (
+                np.fromiter(map(self._dataset_index.__getitem__, datasets), np.intp, n),
+                np.fromiter(map(self._algorithm_index.__getitem__, algorithms), np.intp, n),
+                np.array(subsets, dtype=np.intp) - 1,
+            ),
+            shape,
+        )
+        if n and np.bincount(cell).max() > 1:
+            raise _duplicate_error(list(zip(datasets, algorithms, subsets)), lines)
+        order = np.full(math.prod(shape), -1, dtype=np.intp)
+        order[cell] = np.arange(n)
+        self.order = order.reshape(shape)
+        self.present = self.order >= 0
+        self.cubes = {}
+        for name, column in zip(self.columns, values):
+            cube = np.zeros(order.shape, dtype=column.dtype)
+            if column.dtype.kind == "f":
+                cube.fill(np.nan)
+            cube[cell] = column
+            self.cubes[name] = cube.reshape(shape)
+        self._records = None
+
+    @classmethod
+    def _from_rows(cls, rows: list, lines: list, width: int):
+        """The table of ``rows``, every rule checked on whole columns.
+
+        Raises ``_Rejected``, or ``ValueError`` from a number conversion,
+        where some row breaks a rule.
+        """
+        if set(map(len, rows)) - {width}:
+            raise _Rejected
+        fields = list(zip(*rows)) or [()] * width
+        datasets, algorithms, subsets = (list(map(str.strip, f)) for f in fields[:3])
+        if not (all(datasets) and all(algorithms) and set(subsets) <= {"1", "2"}):
+            raise _Rejected
+        values = cls._convert(fields)
+        table = cls.__new__(cls)
+        table._build(datasets, algorithms, list(map(int, subsets)), values, lines)
+        return table
+
+    @classmethod
+    def _row_error(cls, rows: list, lines: list, width: int):
+        """Raise the per-row rule's error for the first row that breaks it."""
+        for row, line in zip(rows, lines):
+            try:
+                if len(row) != width:
+                    raise InputError(f"expected {width} fields, got {len(row)}")
+                dataset, algorithm, subset = row[0].strip(), row[1].strip(), row[2].strip()
+                if not dataset or not algorithm:
+                    raise InputError("empty identifier")
+                if subset not in ("1", "2"):
+                    raise InputError(f"unknown subset value {subset!r}")
+                cls.record(dataset, algorithm, int(subset), *cls._row_values(row))
+            except InputError as exc:
+                raise InputError(f"line {line}: {exc}") from None
+
+    @property
+    def records(self) -> tuple:
+        if self._records is None:
+            # the present cells sorted by input position
+            cells = np.argsort(self.order, axis=None)[self.order.size - len(self) :]
+            d, a, s = np.unravel_index(cells, self.order.shape)
+            values = []
+            for cube in self.cubes.values():
+                column = cube[d, a, s]
+                if column.dtype.kind == "f":  # NaN in a present cell: no value
+                    column = np.where(np.isnan(column), None, column)
+                values.append(column.tolist())
+            self._records = tuple(
+                map(
+                    self.record,
+                    [self.datasets[i] for i in d.tolist()],
+                    [self.algorithms[i] for i in a.tolist()],
+                    (s + 1).tolist(),
+                    *values,
                 )
-            self._index[key] = rec
-        self.datasets = tuple(sorted({r.dataset for r in self.records}))
-        self.algorithms = tuple(sorted({r.algorithm for r in self.records}))
+            )
+        return self._records
 
     def get(self, dataset: str, algorithm: str, subset: int):
-        return self._index.get((dataset, algorithm, subset))
+        d = self._dataset_index.get(dataset)
+        a = self._algorithm_index.get(algorithm)
+        if d is None or a is None or subset not in (1, 2):
+            return None
+        n = self.order[d, a, subset - 1]
+        return self.records[n] if n >= 0 else None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return int(self.present.sum())
 
     def __iter__(self):
         return iter(self.records)
 
 
+def _error_values(row: list) -> tuple:
+    test_error = _number(float, row[3], "test_error")
+    cv = row[4].strip() if len(row) > 4 else ""
+    return test_error, _number(float, cv, "cv_error") if cv else None
+
+
+def _timing_values(row: list) -> tuple:
+    return (
+        _number(float, row[3], "train_test_seconds"),
+        _number(float, row[4], "hyper_search_seconds"),
+        _number(int, row[5], "n_hyper_combos"),
+    )
+
+
 class ErrorTable(_RecordTable):
     """All parsed :class:`ErrorRecord` rows of one benchmark run."""
+
+    record = ErrorRecord
+    headers = (ERROR_HEADER, ERROR_HEADER[:4])
+    columns = {"test_error": float, "cv_error": float}
+    _row_values = staticmethod(_error_values)
+
+    @staticmethod
+    def _convert(fields: list) -> list:
+        test = _floats(fields[3])
+        cv_text = list(map(str.strip, fields[4])) if len(fields) > 4 else [""] * len(test)
+        given = np.array(list(map(bool, cv_text)), dtype=bool)
+        cv = np.full(len(test), np.nan)
+        cv[given] = _floats(list(compress(cv_text, given)))
+        if not (_in_unit_interval(test) and _in_unit_interval(cv[given])):
+            raise _Rejected
+        return [test, cv]
 
 
 class TimingTable(_RecordTable):
     """All parsed :class:`TimingRecord` rows of one benchmark run."""
+
+    record = TimingRecord
+    headers = (TIMING_HEADER,)
+    columns = {"train_test_seconds": float, "hyper_search_seconds": float, "n_hyper_combos": None}
+    _row_values = staticmethod(_timing_values)
+
+    @staticmethod
+    def _convert(fields: list) -> list:
+        seconds = [_floats(fields[3]), _floats(fields[4])]
+        combos = np.array(list(map(int, fields[5])))  # int64, or object past its range
+        if not (all((np.isfinite(s) & (s >= 0)).all() for s in seconds) and (combos >= 1).all()):
+            raise _Rejected
+        return seconds + [combos]
 
 
 @dataclass
@@ -157,65 +351,42 @@ def _csv_reader(source):
     else:
         # byte stream
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    lines = list(stream)
     # '#' comment lines (e.g. the synth-spec echo) reach the reader as blank
     # lines, which the parser skips, so its line count stays the file's
-    return csv.reader("\n" if line.lstrip().startswith("#") else line for line in stream)
+    for n, line in enumerate(lines):
+        if "#" in line and line.lstrip().startswith("#"):
+            lines[n] = "\n"
+    return csv.reader(lines)
 
 
-def _number(kind, text: str, column: str):
-    try:
-        return kind(text)  # float and int ignore surrounding whitespace
-    except ValueError:
-        raise InputError(f"malformed {column} value {text.strip()!r}") from None
-
-
-def _ingest(source, headers: tuple, values, record, table):
+def _ingest(source, table: type):
     """The one parser of long-form tables; every error names its file line.
 
-    The first nonblank record must equal one of ``headers``.  Each row starts
-    with dataset, algorithm and subset; ``values`` converts the row's
-    remaining fields into the rest of ``record``'s arguments, and ``record``
-    checks their ranges.
+    The first nonblank record must equal one of ``table.headers``.  Each row
+    starts with dataset, algorithm and subset; the rest are ``table``'s value
+    columns.  The per-row rule is ``table._row_values`` then the record
+    constructor's range checks; row errors come before duplicate keys.
     """
     reader = _csv_reader(source)
-    header, records, lines = None, [], []
+    header, rows, lines = None, [], []
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if header is None:
             header = [h.strip() for h in row]
-            if header not in headers:
-                raise InputError(f"unexpected header {header!r}, want {headers[0]!r}")
+            if header not in table.headers:
+                raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
             continue
-        try:
-            if len(row) != len(header):
-                raise InputError(f"expected {len(header)} fields, got {len(row)}")
-            dataset, algorithm, subset = row[0].strip(), row[1].strip(), row[2].strip()
-            if not dataset or not algorithm:
-                raise InputError("empty identifier")
-            if subset not in ("1", "2"):
-                raise InputError(f"unknown subset value {subset!r}")
-            records.append(record(dataset, algorithm, int(subset), *values(row)))
-        except InputError as exc:
-            raise InputError(f"line {reader.line_num}: {exc}") from None
+        rows.append(row)
         lines.append(reader.line_num)
     if header is None:
         raise InputError("empty input: missing header")
-    return table(records, lines)
-
-
-def _error_values(row: list) -> tuple:
-    test_error = _number(float, row[3], "test_error")
-    cv = row[4].strip() if len(row) > 4 else ""
-    return test_error, _number(float, cv, "cv_error") if cv else None
-
-
-def _timing_values(row: list) -> tuple:
-    return (
-        _number(float, row[3], "train_test_seconds"),
-        _number(float, row[4], "hyper_search_seconds"),
-        _number(int, row[5], "n_hyper_combos"),
-    )
+    try:
+        return table._from_rows(rows, lines, len(header))
+    except (_Rejected, ValueError):
+        table._row_error(rows, lines, len(header))
+        raise  # the column checks and the per-row rule disagree
 
 
 def ingest_error_table(source) -> ErrorTable:
@@ -225,14 +396,12 @@ def ingest_error_table(source) -> ErrorTable:
     cv_error field may be empty.  The cv_error column itself may be absent
     (degraded mode: CV-based thresholds are then unavailable).
     """
-    return _ingest(
-        source, (ERROR_HEADER, ERROR_HEADER[:4]), _error_values, ErrorRecord, ErrorTable
-    )
+    return _ingest(source, ErrorTable)
 
 
 def ingest_timing_table(source) -> TimingTable:
     """Parse a long-form timing CSV into a :class:`TimingTable`."""
-    return _ingest(source, (TIMING_HEADER,), _timing_values, TimingRecord, TimingTable)
+    return _ingest(source, TimingTable)
 
 
 def aggregate_errors(table: ErrorTable) -> AggregatedMatrix:
@@ -241,18 +410,9 @@ def aggregate_errors(table: ErrorTable) -> AggregatedMatrix:
     A cell is present only when both subset records exist; otherwise it is
     NaN with a False mask.
     """
-    datasets = table.datasets
-    algorithms = table.algorithms
-    values = np.full((len(datasets), len(algorithms)), np.nan)
-    mask = np.zeros_like(values, dtype=bool)
-    for di, dataset in enumerate(datasets):
-        for ai, algorithm in enumerate(algorithms):
-            r1 = table.get(dataset, algorithm, 1)
-            r2 = table.get(dataset, algorithm, 2)
-            if r1 is not None and r2 is not None:
-                values[di, ai] = (r1.test_error + r2.test_error) / 2.0
-                mask[di, ai] = True
-    return AggregatedMatrix(algorithms, datasets, values, mask)
+    test = table.cubes["test_error"]  # NaN where absent, so the mean is too
+    values = (test[..., 0] + test[..., 1]) / 2.0
+    return AggregatedMatrix(table.algorithms, table.datasets, values, table.present.all(axis=2))
 
 
 def matrix_from_timings(table: TimingTable, metric: str) -> AggregatedMatrix:
@@ -264,23 +424,16 @@ def matrix_from_timings(table: TimingTable, metric: str) -> AggregatedMatrix:
     """
     if metric not in ("one_train_test", "per_hyper"):
         raise InputError(f"unknown timing metric: {metric!r}")
-    subjects = tuple(
-        sorted({(r.dataset, r.subset) for r in table.records})
-    )
-    labels = tuple(f"{d}::{s}" for d, s in subjects)
-    algorithms = table.algorithms
-    values = np.full((len(subjects), len(algorithms)), np.nan)
-    mask = np.zeros_like(values, dtype=bool)
-    subject_index = {s: i for i, s in enumerate(subjects)}
-    for rec in table.records:
-        si = subject_index[(rec.dataset, rec.subset)]
-        ai = algorithms.index(rec.algorithm)
-        if metric == "one_train_test":
-            values[si, ai] = rec.train_test_seconds
-        else:
-            values[si, ai] = rec.per_hyper_seconds
-        mask[si, ai] = True
-    return AggregatedMatrix(algorithms, labels, values, mask)
+    present = table.present
+    if metric == "one_train_test":
+        seconds = table.cubes["train_test_seconds"]
+    else:
+        combos = np.where(present, table.cubes["n_hyper_combos"], 1)
+        seconds = table.cubes["hyper_search_seconds"] / combos
+    # subjects with any record, sorted by (dataset, subset)
+    d, s = np.nonzero(present.any(axis=1))
+    labels = tuple(f"{table.datasets[i]}::{j + 1}" for i, j in zip(d.tolist(), s.tolist()))
+    return AggregatedMatrix(table.algorithms, labels, seconds[d, :, s], present[d, :, s])
 
 
 @dataclass

@@ -133,13 +133,17 @@ def _chain_ess(x: np.ndarray) -> np.ndarray:
 
 
 def effective_sample_size(chains) -> float:
-    """Total ESS across chains (per-chain autocorrelation, summed)."""
+    """Total ESS across chains (per-chain autocorrelation, summed).
+
+    Capped at S log10(S) for S draws in all, as Stan caps it: a short chain
+    whose pair sums never turn nonpositive would otherwise report n^2.
+    """
     x = np.asarray(chains, dtype=float)
     if x.ndim != 2:
         raise InputError("effective_sample_size expects a 2-D (chains x draws) array")
     if x.shape[0] < 2:
         raise InputError("effective_sample_size requires at least 2 chains")
-    return float(_chain_ess(x).sum())
+    return float(min(_chain_ess(x).sum(), x.size * np.log10(x.size)))
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
@@ -18,13 +17,19 @@ from .data import AggregatedMatrix
 from .errors import InputError
 from .render import serialise
 
-_GRID = Decimal("0.001")
 
+def _round3(x: np.ndarray) -> np.ndarray:
+    """Round half-up (away from zero) to 3 decimals, as decimal rounding of
+    each value's shortest repr would: 0.1004 -> 0.100, 0.0005 -> 0.001.
 
-def _round3(x: float) -> float:
-    # decimal round-half-up on the shortest repr, so 0.1004 -> 0.100 and
-    # 0.0005 -> 0.001 regardless of binary representation quirks
-    return float(Decimal(repr(float(x))).quantize(_GRID, rounding=ROUND_HALF_UP))
+    For a = |x| and k = floor(1000 a), a rounds up iff a >= (2k + 1) / 2000
+    in floating point.  The shortest repr of a is at least the decimal
+    midpoint exactly when a is at least the double nearest to it, and a
+    floor off by one next to an integer gives the same result.
+    """
+    a = np.abs(x)
+    k = np.floor(a * 1000.0)
+    return np.copysign(np.where(a >= (2.0 * k + 1.0) / 2000.0, k + 1.0, k) / 1000.0, x)
 
 
 @dataclass
@@ -60,35 +65,36 @@ class RankMatrix:
         )
 
 
-def _rank_row(values: np.ndarray, scheme: str) -> np.ndarray:
-    """Ranks of one dataset's present values; NaN cells stay unranked.
+def _rank_matrix(m: AggregatedMatrix, scheme: str) -> RankMatrix:
+    """Rank every dataset's present values at once; NaN cells stay unranked.
 
     Dense ranks give tied values one shared slot (1, 1, 2, ...); average
     ranks give them the mean of the positions they span (1.5, 1.5, 3, ...).
     """
-    ranks = np.full(values.shape, np.nan)
-    present = ~np.isnan(values)
-    _, inv, counts = np.unique(values[present], return_inverse=True, return_counts=True)
-    if scheme == "dense":
-        ranks[present] = inv + 1
-    else:
-        ranks[present] = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
-    return ranks
-
-
-def _rank_matrix(m: AggregatedMatrix, scheme: str) -> RankMatrix:
     values = np.where(m.mask, m.values, np.nan)
-    ranks = np.full(values.shape, np.nan)
-    skipped = []
-    for di, dataset in enumerate(m.datasets):
-        if m.mask[di].sum() < 2:
-            skipped.append(dataset)
-            continue
-        row = values[di]
-        if scheme == "dense":
-            row = np.array([np.nan if np.isnan(v) else _round3(v) for v in row])
-        ranks[di] = _rank_row(row, scheme)
-    if skipped:
+    if scheme == "dense":
+        values = _round3(values)
+    skip = m.mask.sum(axis=1) < 2
+    values[skip] = np.nan
+    order = np.argsort(values, axis=1, kind="stable")  # NaN sorts last
+    ordered = np.take_along_axis(values, order, axis=1)
+    # tie groups are runs of equal neighbours; NaN equals nothing
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    if scheme == "dense":
+        sorted_ranks = np.cumsum(starts, axis=1).astype(float)
+    else:
+        ends = np.ones(ordered.shape, dtype=bool)
+        ends[:, :-1] = starts[:, 1:]
+        position = np.arange(ordered.shape[1])
+        first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+        last = np.minimum.accumulate(np.where(ends, position, ordered.shape[1])[:, ::-1], axis=1)[:, ::-1]
+        sorted_ranks = (first + last + 2) / 2.0
+    sorted_ranks[np.isnan(ordered)] = np.nan
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    if skip.any():
+        skipped = [d for d, s in zip(m.datasets, skip) if s]
         warnings.warn(
             f"skipping {len(skipped)} datasets with <2 present algorithms: "
             f"{', '.join(skipped)}",

@@ -9,7 +9,6 @@ smaller of the two medians.
 """
 from __future__ import annotations
 
-import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -35,53 +34,64 @@ def top_k_algorithms(m: AggregatedMatrix, k: int) -> dict:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    top: dict = {}
-    for di, dataset in enumerate(m.datasets):
-        present = m.mask[di]
-        if not present.any():
-            top[dataset] = set()
-            continue
-        values = m.values[di][present]
-        names = [a for a, p in zip(m.algorithms, present) if p]
-        cutoff = np.sort(values)[min(k, len(values)) - 1]
-        top[dataset] = {a for a, v in zip(names, values) if v <= cutoff}
-    return top
+    values = np.where(m.mask, m.values, np.inf)
+    count = m.mask.sum(axis=1)
+    # the k-th smallest present value of each row, or its largest with fewer;
+    # a row with none takes the inf column appended last
+    ranked = np.sort(np.column_stack([values, np.full(len(values), np.inf)]), axis=1)
+    cutoff = ranked[np.arange(len(values)), np.minimum(count, k) - 1]
+    top = m.mask & (values <= cutoff[:, None])
+    return {
+        dataset: {a for a, t in zip(m.algorithms, row) if t}
+        for dataset, row in zip(m.datasets, top.tolist())
+    }
+
+
+def _top_cells(t: ErrorTable, top: dict) -> tuple:
+    """Presence, test errors and CV errors of ``top``'s (dataset, algorithm)
+    pairs, each of shape (pairs, subsets): datasets in ``top``'s order, each
+    one's algorithms sorted.  A pair naming what ``t`` does not hold is absent.
+    """
+    dataset_index = {d: i for i, d in enumerate(t.datasets)}
+    algorithm_index = {a: i for i, a in enumerate(t.algorithms)}
+    pairs = [
+        (dataset_index.get(dataset, -1), algorithm_index.get(algorithm, -1))
+        for dataset, algorithms in top.items()
+        for algorithm in sorted(algorithms)
+    ]
+    di, ai = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    known = (di >= 0) & (ai >= 0)
+    present = np.zeros((len(pairs), 2), dtype=bool)
+    present[known] = t.present[di[known], ai[known]]
+    test, cv = np.full((2, len(pairs), 2), np.nan)
+    test[known] = t.cubes["test_error"][di[known], ai[known]]
+    cv[known] = t.cubes["cv_error"][di[known], ai[known]]
+    return present, test, cv
 
 
 def resample_deltas(t: ErrorTable, top: dict) -> list:
     """|test_error@subset2 - test_error@subset1| per kept (dataset, algorithm)."""
-    deltas = []
-    skipped = 0
-    for dataset, algorithms in top.items():
-        for algorithm in sorted(algorithms):
-            r1 = t.get(dataset, algorithm, 1)
-            r2 = t.get(dataset, algorithm, 2)
-            if r1 is None or r2 is None:
-                skipped += 1
-                continue
-            deltas.append(abs(r2.test_error - r1.test_error))
+    present, test, _ = _top_cells(t, top)
+    both = present.all(axis=1)
+    skipped = int((~both).sum())
     if skipped:
         warnings.warn(f"skipped {skipped} pairs with a missing subset record", stacklevel=2)
-    return deltas
+    return np.abs(test[both, 1] - test[both, 0]).tolist()
 
 
 def cv_deltas(t: ErrorTable, top: dict) -> list:
     """|test_error - cv_error| per kept record; both subsets contribute."""
-    deltas = []
-    skipped = 0
-    for dataset, algorithms in top.items():
-        for algorithm in sorted(algorithms):
-            for subset in (1, 2):
-                rec = t.get(dataset, algorithm, subset)
-                if rec is None:
-                    continue
-                if rec.cv_error is None:
-                    skipped += 1
-                    continue
-                deltas.append(abs(rec.test_error - rec.cv_error))
+    present, test, cv = _top_cells(t, top)
+    no_cv = present & np.isnan(cv)
+    skipped = int(no_cv.sum())
     if skipped:
         warnings.warn(f"skipped {skipped} records without cv_error", stacklevel=2)
-    return deltas
+    # row-major: pair by pair, subset 1 before subset 2
+    return np.abs(test - cv)[present & ~no_cv].tolist()
+
+
+def _median(values: list) -> Optional[float]:
+    return float(np.median(values)) if values else None
 
 
 def irrelevance_threshold(t: ErrorTable, k: int = 3) -> ThresholdReport:
@@ -95,8 +105,8 @@ def irrelevance_threshold(t: ErrorTable, k: int = 3) -> ThresholdReport:
     top = top_k_algorithms(matrix, k)
     res = resample_deltas(t, top)
     cv = cv_deltas(t, top)
-    median_res = statistics.median(res) if res else None
-    median_cv = statistics.median(cv) if cv else None
+    median_res = _median(res)
+    median_cv = _median(cv)
     if median_res is None:
         threshold = median_cv
     elif median_cv is None:

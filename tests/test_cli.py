@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -195,6 +196,16 @@ class TestBayesCommand:
         assert main(["bayes", synth_csv, "--kept", "1", "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert err == "error: diagnostics require at least 2 kept draws per chain\n"
+
+    def test_ess_capped_at_s_log10_s(self, capsys):
+        # 2 chains x 2 kept draws: no Geyer pair sum turns nonpositive, and
+        # each chain alone would report n^2 = 4, summed to 8 from 4 draws
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--kept", "2", "--chains", "2",
+                     "--seed", "0"]) == 0
+        diagnostics = capsys.readouterr().out.split("parameter,r_hat,ess\n")[1]
+        ess = [float(line.split(",")[2]) for line in diagnostics.splitlines() if not line.startswith("#")]
+        assert len(ess) == 21
+        assert ess == [pytest.approx(4 * math.log10(4), rel=1e-5)] * 21
 
     def test_bad_config_key_exit_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -10,6 +11,7 @@ from benchstat import (
     ErrorTable,
     InputError,
     SynthSpec,
+    TimingRecord,
     aggregate_errors,
     generate_synthetic,
     ingest_error_table,
@@ -104,7 +106,7 @@ SCHEMAS = {
         TIMING_HEADER.strip(),
         lambda i: f"ds{i},rf,1,1.0,2.0,3",
         ["ds9,rf,1,1.0,2.0", "ds9,rf,0,1,2,3", "ds9,rf,2,a,2.0,3", "ds9,rf,1,1.0,-2.0,3",
-         "ds9,rf,1,1,2,0", "ds9,,1,1.0,2.0,3"],
+         "ds9,rf,1,1,2,0", "ds9,,1,1.0,2.0,3", "ds9,rf,1,nan,2.0,3", "ds9,rf,1,1.0,inf,3"],
         ingest_timing_table,
     ),
 }
@@ -130,6 +132,123 @@ def test_error_names_the_file_line_of_the_malformed_row(schema, gaps, bad_at, da
         lines += gap + [row]
     with pytest.raises(InputError, match=rf"^line {lines.index(bad) + 1}: "):
         ingest("\n".join(lines) + "\n")
+
+
+def number(kind, text, column):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"malformed {column} value {text.strip()!r}") from None
+
+
+def error_values(row):
+    cv = row[4].strip() if len(row) > 4 else ""
+    return number(float, row[3], "test_error"), number(float, cv, "cv_error") if cv else None
+
+
+def timing_values(row):
+    return (
+        number(float, row[3], "train_test_seconds"),
+        number(float, row[4], "hyper_search_seconds"),
+        number(int, row[5], "n_hyper_combos"),
+    )
+
+
+def reference_ingest(text, record, values):
+    """Row-at-a-time parse: each row through the per-row rule as it is
+    read, then the first repeated key.  Assumes a valid header."""
+    lines = ("\n" if line.lstrip().startswith("#") else line for line in io.StringIO(text))
+    reader = csv.reader(lines)
+    width, parsed = None, []
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if width is None:
+            width = len(row)
+            continue
+        try:
+            if len(row) != width:
+                raise InputError(f"expected {width} fields, got {len(row)}")
+            dataset, algorithm, subset = (field.strip() for field in row[:3])
+            if not dataset or not algorithm:
+                raise InputError("empty identifier")
+            if subset not in ("1", "2"):
+                raise InputError(f"unknown subset value {subset!r}")
+            parsed.append((record(dataset, algorithm, int(subset), *values(row)), reader.line_num))
+        except InputError as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from None
+    first = {}
+    for rec, line in parsed:
+        key = (rec.dataset, rec.algorithm, rec.subset)
+        if key in first:
+            raise InputError(f"line {line}: duplicate key {key} (first seen at line {first[key]})")
+        first[key] = line
+    return tuple(rec for rec, _ in parsed)
+
+
+# schema -> (headers, good values per field, bad values per field, record, values, ingester)
+FIELDS = {
+    "error": (
+        (HEADER.strip(), "dataset,algorithm,subset,test_error"),
+        [["d1", " d1 ", "d2", "d3"], ["a", " b", "c"], ["1", "2", " 2 "],
+         ["0.5", " 0.25 ", "0", "1", "-0.0", "1e-3"], ["", " ", "0.1", "1", "0.0"]],
+        [["", " "], ["", "  "], ["3", "0", "x", ""], ["abc", "1.5", "nan", "inf", "1_0", ""],
+         ["abc", "1.5", "nan", "-inf", "1_0"]],
+        ErrorRecord,
+        error_values,
+        ingest_error_table,
+    ),
+    "timing": (
+        (TIMING_HEADER.strip(),),
+        [["d1", " d1 ", "d2", "d3"], ["a", " b", "c"], ["1", "2", " 2 "],
+         ["1.5", " 0 ", "1_0", "2e3"], ["2", "0.5", " 7 "], ["1", "24", " 3 ", "1_0"]],
+        [["", " "], ["", "  "], ["3", "0", "x", ""], ["abc", "nan", "inf", "-1", ""],
+         ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan"]],
+        TimingRecord,
+        timing_values,
+        ingest_timing_table,
+    ),
+}
+
+
+@st.composite
+def table_texts(draw, schema):
+    headers, good, bad, *_ = FIELDS[schema]
+    header = draw(st.sampled_from(headers))
+    width = header.count(",") + 1
+    key = lambda row: tuple(field.strip() for field in row[:3])
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, good)).map(list), max_size=8, unique_by=key))
+    rows = [row[:width] for row in rows]
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        for _ in range(draw(st.integers(0, 2))):  # bad fields
+            row, field = rows[draw(index)], draw(st.integers(0, width - 1))
+            row[field] = draw(st.sampled_from(bad[field]))
+        if draw(st.booleans()):  # a repeated key
+            rows.append(rows[draw(index)][:3] + [draw(st.sampled_from(v)) for v in good[3:width]])
+        if draw(st.sampled_from([False] * 4 + [True])):  # a wrong field count
+            row = rows[draw(index)]
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["0"]
+    gap = st.lists(st.sampled_from(["# note", "#a,b,c", ' # "q,r', "", "  "]), max_size=2)
+    lines = draw(gap) + [header]
+    for row in rows:
+        lines += draw(gap) + [",".join(row)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(schema=st.sampled_from(sorted(FIELDS)), data=st.data())
+def test_column_checks_agree_with_the_per_row_rule(schema, data):
+    *_, record, values, ingest = FIELDS[schema]
+    text = data.draw(table_texts(schema))
+    try:
+        expected = reference_ingest(text, record, values)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            ingest(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert [repr(r) for r in ingest(text).records] == [repr(r) for r in expected]
 
 
 class TestAggregateErrors:
@@ -197,6 +316,18 @@ class TestIngestTimingTable:
             with pytest.raises(InputError, match="line 2: empty identifier"):
                 ingest_timing_table(TIMING_HEADER + row)
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("iris,rf,1,nan,120,24", "train_test_seconds"), ("iris,rf,1,10,inf,24", "hyper_search_seconds"),
+         ("iris,rf,1,-inf,120,24", "train_test_seconds"), ("iris,rf,1,10, NaN ,24", "hyper_search_seconds")],
+    )
+    def test_non_finite_time_rejected(self, row, column):
+        text = TIMING_HEADER + "iris,knn,1,10,120,24\n" + row + "\n"
+        with pytest.raises(InputError, match=rf"^line 3: {column} not finite: "):
+            ingest_timing_table(text)
+        with pytest.raises(InputError, match="not finite"):
+            TimingRecord("iris", "rf", 1, float("nan"), 1.0, 1)
+
     def test_timing_matrix_subjects_are_subsets(self):
         text = TIMING_HEADER + "iris,rf,1,10,120,24\niris,rf,2,20,240,24\n"
         m = matrix_from_timings(ingest_timing_table(text), "one_train_test")
@@ -262,6 +393,5 @@ class TestGenerateSynthetic:
         table = generate_synthetic(spec, seed=3)
         text = error_table_to_csv(table, comment="spec echo")
         again = ingest_error_table(text)
-        assert [(r.dataset, r.algorithm, r.subset, r.test_error, r.cv_error) for r in again] == [
-            (r.dataset, r.algorithm, r.subset, r.test_error, r.cv_error) for r in table
-        ]
+        assert again.records == table.records  # equal records, in input order
+        assert [repr(r) for r in again] == [repr(r) for r in table]

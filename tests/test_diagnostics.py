@@ -142,6 +142,14 @@ class TestEss:
         chains = eps[:, 1:] - 0.45 * eps[:, :-1]  # negative lag-1 autocorrelation
         assert effective_sample_size(chains) > 2 * 10_000
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_capped_at_s_log10_s(self, m):
+        # a chain of 2 draws has one positive pair sum and tau 0, so ESS n^2
+        n = 2
+        chains = np.tile(np.arange(n, dtype=float), (m, 1))
+        assert _chain_ess(chains).sum() == m * n * n
+        assert effective_sample_size(chains) == m * n * np.log10(m * n)
+
     def test_constant_chain_rejected(self):
         with pytest.raises(InputError, match="constant chain"):
             effective_sample_size(np.ones((2, 50)))
@@ -245,7 +253,8 @@ class TestEss:
 def test_cli_import_does_not_load_scipy_fft():
     # the padded FFT length is computed in the package, and scipy, the
     # process pool and its start methods are imported only where a command
-    # uses them, so importing the CLI loads none of them
+    # uses them, so importing the CLI loads none of them; dense ranks round
+    # without decimal
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -258,7 +267,7 @@ def test_cli_import_does_not_load_scipy_fft():
     )
     loaded = run.stdout.split()
     assert "benchstat.cli" in loaded
-    heavy = ("scipy", "multiprocessing", "concurrent.futures")
+    heavy = ("scipy", "multiprocessing", "concurrent.futures", "decimal")
     assert [m for m in loaded if m.startswith(heavy)] == []
 
 

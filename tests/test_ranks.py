@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from benchstat import (
     mean_rank_summary,
     rank_histogram,
 )
-from benchstat.ranks import RankMatrix, histogram_to_csv, histogram_to_svg
+from benchstat.ranks import RankMatrix, _round3, histogram_to_csv, histogram_to_svg
 
 
 def matrix(values, algorithms=None, datasets=None):
@@ -63,6 +64,39 @@ class TestDenseRanks:
             r = dense_ranks(matrix([[0.1, np.nan], [0.2, 0.3]]))
         assert np.isnan(r.ranks[0]).all()
         assert not np.isnan(r.ranks[1]).any()
+
+
+def decimal_round3(x: float) -> float:
+    """Reference: decimal half-up rounding of the shortest repr."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+
+
+def assert_rounds_like_decimal(values):
+    values = np.unique(values)  # one reference call per distinct value
+    got = _round3(values)
+    expected = np.array([decimal_round3(v) for v in values.tolist()])
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestRound3:
+    def test_every_mean_of_two_grid_values_and_its_negative(self):
+        grid = np.arange(1001) / 1000.0  # 0.000 .. 1.000 as parsed from 3 decimals
+        i, j = np.triu_indices(len(grid))
+        means = (grid[i] + grid[j]) / 2.0
+        assert len(means) == 501_501
+        assert_rounds_like_decimal(np.concatenate([means, -means]))
+
+    def test_binary_mean_below_the_decimal_midpoint_rounds_down(self):
+        # 0.002 and 0.019 average to 0.010499999999999999, not 0.0105
+        mean = (0.002 + 0.019) / 2.0
+        assert repr(mean) == "0.010499999999999999"
+        assert _round3(np.array([mean, -mean])).tolist() == [0.010, -0.010]
+
+    def test_four_decimal_grid_and_uniform_values(self):
+        rng = np.random.default_rng(7)
+        assert_rounds_like_decimal(np.arange(-20_000, 20_001) / 10_000.0)
+        assert_rounds_like_decimal(rng.uniform(-2.0, 2.0, 50_000))
 
 
 class TestAverageRanks:

@@ -38,6 +38,11 @@ class TestTopK:
         top = top_k_algorithms(matrix_from_row([0.1, 0.2]), 3)
         assert top["d0"] == {"a0", "a1"}
 
+    def test_datasets_without_present_algorithms_get_empty_sets(self):
+        none = AggregatedMatrix([], ["d0", "d1"], np.zeros((2, 0)), np.zeros((2, 0), bool))
+        assert top_k_algorithms(none, 3) == {"d0": set(), "d1": set()}
+        assert top_k_algorithms(matrix_from_row([np.nan, np.nan]), 1) == {"d0": set()}
+
     def test_top3_never_more_pairs_than_all(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 1, (8, 6))
