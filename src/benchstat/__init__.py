@@ -5,6 +5,8 @@ irrelevance threshold, and a hierarchical Bayesian ANOVA with ROPE
 equivalence probabilities, MCMC diagnostics, and posterior predictive
 model checking.
 """
+__version__ = "0.1.0"  # read by banova for the draws-file meta
+
 from .banova import (
     McmcConfig,
     ModelSpec,
@@ -60,4 +62,3 @@ from .threshold import (
     top_k_algorithms,
 )
 
-__version__ = "0.1.0"

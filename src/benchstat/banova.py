@@ -27,11 +27,13 @@ import json
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .data import AggregatedMatrix
 from .errors import ComputationError, InputError
 from .nhst import PairwiseMatrix
@@ -276,8 +278,9 @@ def _effect_scale(rng, shape: float, rate: float, k: int, ss: float) -> tuple:
     replaces -rate*e^u by its tangent at the mode s0, so that 1/s^2 ~
     Gamma((k - shape + rate*s0)/2, rate ss/2), and a proposal s = s0*x is
     kept with probability exp(-rate*s0*(x - 1 - log x)) (Devroye 1986,
-    ch. VII; Gilks & Wild 1992).  Returns the draw and the number of
-    proposals it took.
+    ch. VII; Gilks & Wild 1992).  Past rate*s0 = 1e30, where the conditional
+    is a few ulps wide around its mode, the draw is its normal approximation
+    there instead.  Returns the draw and the number of proposals it took.
     """
     a = k - shape
     ss = max(ss, 1e-300)  # all-zero effects leave the mode at 0
@@ -293,6 +296,11 @@ def _effect_scale(rng, shape: float, rate: float, k: int, ss: float) -> tuple:
         if step <= 1e-10 * s0:
             break
     r0 = rate * s0
+    if r0 > 1e30:
+        # the conditional's sd in u is 1/sqrt(3 r0 + 2a), a few ulps or less,
+        # so the acceptance test below would weigh rounding noise by r0; the
+        # normal approximation at the mode is exact to that width
+        return s0 * math.exp(rng.standard_normal() / math.sqrt(3.0 * r0 + 2.0 * a)), 1
     g_shape = 0.5 * (a + r0)
     for n in range(1, 1001):
         x = math.sqrt(ss / (2.0 * rng.standard_gamma(g_shape))) / s0
@@ -522,7 +530,8 @@ def run_chains(
     ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
     shared block; where ``fork`` is unavailable the chains run one after
     another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
-    every sampled sigma_a, sigma_d and df.
+    every sampled sigma_a, sigma_d and df, and ``meta["versions"]`` the
+    benchstat, numpy and Python versions that drew them.
     """
     if cfg is None:
         cfg = McmcConfig()
@@ -581,6 +590,13 @@ def run_chains(
         "chains": cfg.chains,
         "seed": seed,
         "slice": counters,
+        # numpy may change Generator streams between releases, so a seed
+        # reproduces these draws only under the same versions
+        "versions": {
+            "benchstat": __version__,
+            "numpy": np.__version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+        },
     }
     if cfg.fixed_df is not None:
         meta["fixed_df"] = cfg.fixed_df

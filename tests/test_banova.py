@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from benchstat import (
     run_chains,
     save_draws,
 )
+import benchstat
 from benchstat import banova
 from benchstat.banova import (
     ChainDraws,
@@ -429,6 +431,34 @@ class TestEffectScale:
         with pytest.raises(ComputationError, match=r"^effect scale draw \(k=2, .* 1000 proposals$"):
             _effect_scale(np.random.default_rng(0), 1e12, 1e12, 2, 1.0)
 
+    @pytest.mark.parametrize("k, ss", [(10, 2.8e185), (4, 1.0e149)])
+    def test_conditional_narrower_than_an_ulp(self, k, ss):
+        # effects of order 1e70-1e90 put rate*s0 above 1e30, where the
+        # rejection test was rounding noise; the draw is then the mode to
+        # float precision, so it solves the mode's cubic
+        shape, rate = gamma_shape_rate_from_mode_sd(0.05, 0.2)
+        s, proposals = _effect_scale(np.random.default_rng(1), shape, rate, k, ss)
+        assert rate * s > 1e30 and proposals == 1
+        assert (rate * s + k - shape) * s * s == pytest.approx(ss, rel=1e-14)
+
+    def test_cli_scale_priors_stay_far_from_the_narrow_regime(self):
+        # build_model scales the effect prior with the data sd and gives it
+        # a shape below k, so the mode's cubic bounds rate*s0 by
+        # (rate^2 ss)^(1/3): only the effects in data-sd units matter
+        m, _ = synthetic_matrix(np.random.default_rng(21), 14, 115)
+        spec = build_model(m)
+        rate = spec.sigma_effect_rate
+        assert spec.sigma_effect_shape < 2
+        cfg = McmcConfig(chains=2, burn_in=200, adaptation=0, kept=500)
+        ss = max(
+            np.square(effects).sum(axis=1).max()
+            for c in run_chains(spec, m, cfg, seed=4).chains
+            for effects in (c.alpha, c.delta)
+        )
+        assert (rate**2 * ss) ** (1 / 3) < 100
+        # 115 effects of a billion data sds each would still be far below
+        assert (rate**2 * 115 * (1e9 * spec.y_sd) ** 2) ** (1 / 3) < 1e7
+
     @pytest.mark.parametrize("n_alg, n_ds", [(2, 115), (14, 115)])
     def test_chains_need_few_proposals(self, n_alg, n_ds):
         # desk-like tables; with two algorithms the sigma_a posterior is wide
@@ -728,6 +758,15 @@ class TestPersistence:
         save_draws(draws, path)
         assert load_draws(path).meta["slice"] == counters
         assert self._sample("robust").meta["slice"] == counters  # same seed, same counts
+
+    def test_versions_in_meta(self, tmp_path):
+        # a seed reproduces the draws only under the same numpy
+        draws = self._sample("normal")
+        versions = {"benchstat": benchstat.__version__, "numpy": np.__version__, "python": platform.python_version()}
+        assert draws.meta["versions"] == versions
+        path = tmp_path / "draws.bin"
+        save_draws(draws, path)
+        assert load_draws(path).meta["versions"] == versions
 
     def test_pinned_parameters_have_no_counters(self):
         rng = np.random.default_rng(6)

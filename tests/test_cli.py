@@ -414,3 +414,17 @@ class TestColdStart:
         before, after = run_fresh(body, GOLDEN / "errors.csv", out)
         assert (before, after.split()[0]) == ("", "scipy.special")
         assert out.read_bytes() == (GOLDEN / "nhst-dense-skipped-csv.csv").read_bytes()
+
+    def test_cold_nhst_with_nemenyi_loads_no_scipy_stats(self, tmp_path):
+        # the Nemenyi tail takes ndtr from scipy.special, as the Friedman tail
+        # takes gammaincc; scipy.stats would cost most of a second to import
+        out = tmp_path / "nhst.csv"
+        body = (
+            "errors, out = argv\n"
+            "assert main(['nhst', errors, '--format', 'csv', '--out', out]) == 0\n"
+            "print(loaded('scipy.special'))\n"
+            "print(loaded('scipy.stats'))\n"
+        )
+        special, stats = run_fresh(body, GOLDEN / "errors.csv", out)
+        assert (special.split()[0], stats) == ("scipy.special", "")
+        assert out.read_bytes() == (GOLDEN / "nhst-csv.csv").read_bytes()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.stats import norm
 
 from benchstat import (
@@ -44,7 +45,7 @@ class TestStudentizedRangeSf:
             assert studentized_range_sf(float(q), 2) == pytest.approx(expected, abs=1e-6)
 
     def test_q_zero(self):
-        for k in (2, 5, 14):
+        for k in (2, 5, 14, 100):
             assert studentized_range_sf(0.0, k) == 1.0
 
     def test_k3_critical_value(self):
@@ -66,7 +67,52 @@ class TestStudentizedRangeSf:
         with pytest.raises(InputError):
             studentized_range_sf(-1.0, 3)
         with pytest.raises(InputError):
+            studentized_range_sf(np.array([1.0, np.nan]), 3)
+        with pytest.raises(InputError):
             studentized_range_sf(1.0, 1)
+
+    def test_k2_erfc_far_tail(self):
+        # the range of 2 standard normals is sqrt(2)|Z|, so sf(q) = erfc(q/2);
+        # 10.2 and 14 are where 1 - cdf routines print noise and 0
+        q = np.concatenate([np.linspace(0.0, 20.0, 81), [10.2, 14.0]])
+        np.testing.assert_allclose(studentized_range_sf(q, 2), special.erfc(q / 2.0), rtol=1e-12, atol=0)
+        assert f"{studentized_range_sf(10.2, 2):.6g}" == "5.49382e-13"
+
+    def test_matches_high_precision_quadrature(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def sf(q, k):
+            def integrand(z):  # phi(z) (Phi(z)^(k-1) - (Phi(z) - Phi(z-q))^(k-1))
+                c = mpmath.ncdf(z)
+                return mpmath.npdf(z) * (c ** (k - 1) - (c - mpmath.ncdf(z - q)) ** (k - 1))
+
+            return k * mpmath.quad(integrand, [-mpmath.inf, 0, q / 2, mpmath.inf])
+
+        for k in (3, 14, 50):
+            for q in (1.0, 5.0, 10.0, 15.0):
+                # the bracket cancels to about erfc(q/2) of its terms, so
+                # carry that many digits beyond the 20 the test needs
+                with mpmath.workdps(20 - int(math.log10(special.erfc(q / 2.0)))):
+                    expected = float(sf(mpmath.mpf(q), k))
+                assert studentized_range_sf(q, k) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 14, 50, 100])
+    def test_matches_scipy_where_scipy_is_accurate(self, k):
+        # scipy's tail is 1 - cdf, which is noise below about 1e-9
+        q = np.linspace(0.0, 12.0, 121)
+        expected = stats.studentized_range.sf(q, k, np.inf)
+        accurate = expected >= 1e-9
+        assert accurate.sum() > 40
+        np.testing.assert_allclose(studentized_range_sf(q, k)[accurate], expected[accurate], rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [2, 14, 100, 300, 1000])
+    def test_monotone_without_warnings(self, k):
+        q = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(1e-6, 40.0, 4001), [80.0, 1e9]])
+        p = studentized_range_sf(q, k)
+        assert p[0] == 1.0 and (np.diff(p) <= 0).all() and (p <= 1.0).all()
+        assert p[-1] == 0.0 and math.copysign(1.0, p[-1]) == 1.0  # never -0
+        np.testing.assert_array_equal(studentized_range_sf(q.reshape(-1, 2), k), p.reshape(-1, 2))
 
 
 class TestFriedman:
