@@ -27,7 +27,7 @@ import json
 import math
 import mmap
 import os
-import sys
+import platform
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -595,7 +595,7 @@ def run_chains(
         "versions": {
             "benchstat": __version__,
             "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
+            "python": platform.python_version(),
         },
     }
     if cfg.fixed_df is not None:

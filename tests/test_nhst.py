@@ -113,6 +113,9 @@ class TestStudentizedRangeSf:
         assert p[0] == 1.0 and (np.diff(p) <= 0).all() and (p <= 1.0).all()
         assert p[-1] == 0.0 and math.copysign(1.0, p[-1]) == 1.0  # never -0
         np.testing.assert_array_equal(studentized_range_sf(q.reshape(-1, 2), k), p.reshape(-1, 2))
+        # each q's value does not depend on its neighbours or its chunk
+        perm = np.random.default_rng(k).permutation(q.size)
+        np.testing.assert_array_equal(studentized_range_sf(q[perm], k), p[perm])
 
 
 class TestFriedman:
