@@ -13,6 +13,10 @@ run length and the machine-speed factor of each run: the median speed-probe
 kernel time over its reference time, as ``perfbench/run.py`` reports it on
 standard error (1.0 is the reference machine in its fast spells). Per-layer
 times are already in reference seconds; end-to-end times are wall seconds.
+
+It also times one ``bayes --paper-config --seed 1`` run per variant (normal
+and robust) in a fresh Python process on perfbench's seed-1 bayes table of
+that variant, and records its wall seconds, start-up and import included.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
 """
@@ -20,14 +24,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import tables  # noqa: E402  perfbench's seeded input tables
+
 SEED = 1
 SPEED = re.compile(r"(\d+) rounds; median kernel ([\d.]+) ms \(reference ([\d.]+) ms\)")
 
@@ -54,6 +64,21 @@ def run(workload: str, seconds: float, trace: int) -> dict:
     }
 
 
+def paper_config_run(variant: str) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        table = Path(work) / "table.csv"
+        table.write_text(tables.bayes_table(SEED, variant == "robust"))
+        argv = [sys.executable, "-m", "benchstat.cli", "bayes", str(table), "--variant", variant,
+                "--paper-config", "--seed", str(SEED), "--out", str(Path(work) / "report.csv")]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        done = subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"bayes --variant {variant} --paper-config exited {done.returncode}:\n{done.stderr}")
+    return {"variant": variant, "seed": SEED, "wall_s": seconds}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
@@ -66,6 +91,10 @@ def main(argv=None) -> int:
         for trace in (0, 1):
             runs.append(run(workload, seconds, trace))
             print(f"{workload} trace {trace}: {json.dumps(runs[-1]['result'])}", file=sys.stderr)
+    paper_config = []
+    for variant in ("normal", "robust"):
+        paper_config.append(paper_config_run(variant))
+        print(f"bayes --paper-config {variant}: {paper_config[-1]['wall_s']:.2f} s", file=sys.stderr)
     tracked = git("status", "--porcelain", "--untracked-files=no")
     new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     record = {
@@ -76,6 +105,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "runs": runs,
+        "paper_config": paper_config,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -16,10 +16,12 @@ a cell without a record, and in ``cv_error`` where no CV estimate was
 recorded.  Every analysis of the table is an array operation on these cubes.
 The records themselves are built, in input order, only when asked for.
 
-Ingestion converts each CSV column once and checks every rule on whole
-columns.  When some check fails, the rows are walked in order through the
-per-row rule, so that the error names the first offending row, its file line
-and the rule it broke, as a row-at-a-time parser would.
+Ingestion reads the rows in one ``csv.reader`` pass, converts each CSV
+column once and checks every rule on whole columns; a valid table is never
+walked row by row.  File lines are found only once a check fails: then the
+same lines are read again, counting lines, and the rows are walked in order
+through the per-row rule, so that the error names the first offending row,
+its file line and the rule it broke, as a row-at-a-time parser would.
 """
 from __future__ import annotations
 
@@ -28,8 +30,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Mapping, Optional
+from functools import reduce
+from operator import iadd
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -108,6 +111,20 @@ def _floats(texts) -> np.ndarray:
     return np.fromiter(map(float, texts), float, len(texts))
 
 
+def _codes(names: list, label) -> tuple:
+    """The sorted distinct labels of ``names``, each mapped to its position,
+    and the position of each name's label; ``label`` (``str.strip`` for CSV
+    fields) runs once per distinct name, not once per row."""
+    distinct = set(names)
+    position = {name: n for n, name in enumerate(sorted(set(map(label, distinct))))}
+    code = {name: position[label(name)] for name in distinct}
+    return position, np.fromiter(map(code.__getitem__, names), np.intp, len(names))
+
+
+def _same(name):
+    return name
+
+
 def _in_unit_interval(x: np.ndarray) -> bool:
     return bool(((x >= 0.0) & (x <= 1.0)).all())  # False for NaN
 
@@ -126,6 +143,10 @@ def _duplicate_error(keys: list, lines: Optional[list]) -> InputError:
     raise ValueError("no repeated key")
 
 
+_SUBSET_INDEX = {"1": 0, "2": 1}
+_NAN_IF_BLANK = {"": "nan"}  # an empty cv_error field: no CV estimate
+
+
 class _RecordTable:
     """Immutable collection of records keyed by (dataset, algorithm, subset).
 
@@ -139,39 +160,37 @@ class _RecordTable:
 
     def __init__(self, records: Iterable):
         records = tuple(records)
-        self._build(
-            [r.dataset for r in records],
-            [r.algorithm for r in records],
-            [r.subset for r in records],
-            [
-                np.array([getattr(r, name) for r in records], dtype=dtype)
-                for name, dtype in self.columns.items()
-            ],
-        )
+        datasets, d = _codes([r.dataset for r in records], _same)
+        algorithms, a = _codes([r.algorithm for r in records], _same)
+        s = np.array([r.subset - 1 for r in records], dtype=np.intp)
+        values = [
+            np.array([getattr(r, name) for r in records], dtype=dtype)
+            for name, dtype in self.columns.items()
+        ]
+        try:
+            self._build(datasets, algorithms, (d, a, s), values)
+        except _Rejected:
+            keys = [(r.dataset, r.algorithm, r.subset) for r in records]
+            raise _duplicate_error(keys, None) from None
         self._records = records
 
-    def _build(self, datasets: list, algorithms: list, subsets: list, values: list, lines=None):
-        """Scatter checked columns, one entry per row, into the cube."""
-        self.datasets = tuple(sorted(set(datasets)))
-        self.algorithms = tuple(sorted(set(algorithms)))
-        self._dataset_index = {d: i for i, d in enumerate(self.datasets)}
-        self._algorithm_index = {a: i for i, a in enumerate(self.algorithms)}
-        n = len(subsets)
-        shape = (len(self.datasets), len(self.algorithms), 2)
-        cell = np.ravel_multi_index(
-            (
-                np.fromiter(map(self._dataset_index.__getitem__, datasets), np.intp, n),
-                np.fromiter(map(self._algorithm_index.__getitem__, algorithms), np.intp, n),
-                np.array(subsets, dtype=np.intp) - 1,
-            ),
-            shape,
-        )
-        if n and np.bincount(cell).max() > 1:
-            raise _duplicate_error(list(zip(datasets, algorithms, subsets)), lines)
+    def _build(self, datasets: dict, algorithms: dict, index: tuple, values: list):
+        """Scatter checked columns, one entry per row, into the cube.
+
+        ``datasets`` and ``algorithms`` map each sorted label to its position;
+        ``index`` holds each row's dataset, algorithm and subset position.
+        Raises ``_Rejected`` where two rows share a cell.
+        """
+        self.datasets, self.algorithms = tuple(datasets), tuple(algorithms)
+        self._dataset_index, self._algorithm_index = datasets, algorithms
+        shape = (len(datasets), len(algorithms), 2)
+        cell = np.ravel_multi_index(index, shape)
         order = np.full(math.prod(shape), -1, dtype=np.intp)
-        order[cell] = np.arange(n)
+        order[cell] = np.arange(len(cell))
         self.order = order.reshape(shape)
         self.present = self.order >= 0
+        if np.count_nonzero(self.present) != len(cell):
+            raise _Rejected
         self.cubes = {}
         for name, column in zip(self.columns, values):
             cube = np.zeros(order.shape, dtype=column.dtype)
@@ -182,7 +201,7 @@ class _RecordTable:
         self._records = None
 
     @classmethod
-    def _from_rows(cls, rows: list, lines: list, width: int):
+    def _from_rows(cls, rows: list, width: int):
         """The table of ``rows``, every rule checked on whole columns.
 
         Raises ``_Rejected``, or ``ValueError`` from a number conversion,
@@ -190,13 +209,20 @@ class _RecordTable:
         """
         if set(map(len, rows)) - {width}:
             raise _Rejected
-        fields = list(zip(*rows)) or [()] * width
-        datasets, algorithms, subsets = (list(map(str.strip, f)) for f in fields[:3])
-        if not (all(datasets) and all(algorithms) and set(subsets) <= {"1", "2"}):
+        fields = reduce(iadd, rows, [])  # one flat list of every field
+        del rows  # free the row lists before slicing: a lower peak of memory
+        columns = [fields[n::width] for n in range(width)]
+        del fields
+        datasets, d = _codes(columns[0], str.strip)
+        algorithms, a = _codes(columns[1], str.strip)
+        try:
+            s = np.fromiter(map(_SUBSET_INDEX.__getitem__, map(str.strip, columns[2])), np.intp, len(columns[2]))
+        except KeyError:  # a subset other than 1 or 2
+            raise _Rejected from None
+        if "" in datasets or "" in algorithms:
             raise _Rejected
-        values = cls._convert(fields)
         table = cls.__new__(cls)
-        table._build(datasets, algorithms, list(map(int, subsets)), values, lines)
+        table._build(datasets, algorithms, (d, a, s), cls._convert(columns))
         return table
 
     @classmethod
@@ -276,13 +302,16 @@ class ErrorTable(_RecordTable):
     _row_values = staticmethod(_error_values)
 
     @staticmethod
-    def _convert(fields: list) -> list:
-        test = _floats(fields[3])
-        cv_text = list(map(str.strip, fields[4])) if len(fields) > 4 else [""] * len(test)
-        given = np.array(list(map(bool, cv_text)), dtype=bool)
-        cv = np.full(len(test), np.nan)
-        cv[given] = _floats(list(compress(cv_text, given)))
-        if not (_in_unit_interval(test) and _in_unit_interval(cv[given])):
+    def _convert(columns: list) -> list:
+        test = _floats(columns[3])
+        cv_text = list(map(str.strip, columns[4])) if len(columns) > 4 else [""] * len(test)
+        cv = _floats(list(map(_NAN_IF_BLANK.get, cv_text, cv_text)))
+        blank = np.isnan(cv)  # a blank field, or a NaN value, which the count tells apart
+        if not (
+            _in_unit_interval(test)
+            and _in_unit_interval(cv[~blank])
+            and np.count_nonzero(blank) == cv_text.count("")
+        ):
             raise _Rejected
         return [test, cv]
 
@@ -296,9 +325,9 @@ class TimingTable(_RecordTable):
     _row_values = staticmethod(_timing_values)
 
     @staticmethod
-    def _convert(fields: list) -> list:
-        seconds = [_floats(fields[3]), _floats(fields[4])]
-        combos = np.array(list(map(int, fields[5])))  # int64, or object past its range
+    def _convert(columns: list) -> list:
+        seconds = [_floats(columns[3]), _floats(columns[4])]
+        combos = np.array(list(map(int, columns[5])))  # int64, or object past its range
         if not (all((np.isfinite(s) & (s >= 0)).all() for s in seconds) and (combos >= 1).all()):
             raise _Rejected
         return seconds + [combos]
@@ -340,8 +369,13 @@ class AggregatedMatrix:
         return self.values[self.mask]
 
 
-def _csv_reader(source):
-    """A csv reader over ``source`` whose ``line_num`` is the file line."""
+def _lines(source) -> list:
+    """The lines of ``source`` as the csv reader reads them.
+
+    A leading byte-order mark is dropped and '#' comment lines (e.g. the
+    synth-spec echo) are blanked; the reader skips blank lines, so its
+    ``line_num`` stays the file line.
+    """
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
             source = source.decode("utf-8")
@@ -352,12 +386,25 @@ def _csv_reader(source):
         # byte stream
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
     lines = list(stream)
-    # '#' comment lines (e.g. the synth-spec echo) reach the reader as blank
-    # lines, which the parser skips, so its line count stays the file's
-    for n, line in enumerate(lines):
-        if "#" in line and line.lstrip().startswith("#"):
-            lines[n] = "\n"
-    return csv.reader(lines)
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
+    return ["\n" if "#" in line and line.lstrip().startswith("#") else line for line in lines]
+
+
+def _nonblank(reader) -> Iterator[list]:
+    """The rows of ``reader`` that are not blank."""
+    return (row for row in reader if len(row) > 1 or row and row[0].strip())
+
+
+def _numbered_rows(lines: list) -> tuple:
+    """The rows after the header, and the file line each ends on: a second
+    read of ``lines``, made only to name the line of an error."""
+    reader = csv.reader(lines)
+    rows, numbers = [], []
+    for row in _nonblank(reader):
+        rows.append(row)
+        numbers.append(reader.line_num)
+    return rows[1:], numbers[1:]
 
 
 def _ingest(source, table: type):
@@ -368,25 +415,22 @@ def _ingest(source, table: type):
     columns.  The per-row rule is ``table._row_values`` then the record
     constructor's range checks; row errors come before duplicate keys.
     """
-    reader = _csv_reader(source)
-    header, rows, lines = None, [], []
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if header is None:
-            header = [h.strip() for h in row]
-            if header not in table.headers:
-                raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
-            continue
-        rows.append(row)
-        lines.append(reader.line_num)
+    lines = _lines(source)
+    rows = _nonblank(csv.reader(lines))
+    header = next(rows, None)
     if header is None:
         raise InputError("empty input: missing header")
+    header = [h.strip() for h in header]
+    if header not in table.headers:
+        raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
     try:
-        return table._from_rows(rows, lines, len(header))
+        return table._from_rows(list(rows), len(header))
     except (_Rejected, ValueError):
-        table._row_error(rows, lines, len(header))
-        raise  # the column checks and the per-row rule disagree
+        pass  # leaving the handler frees the columns before the second read
+    rows, numbers = _numbered_rows(lines)
+    table._row_error(rows, numbers, len(header))
+    keys = [(row[0].strip(), row[1].strip(), int(row[2])) for row in rows]
+    raise _duplicate_error(keys, numbers)  # ValueError if none: the checks disagree
 
 
 def ingest_error_table(source) -> ErrorTable:

@@ -40,6 +40,18 @@ class TestRankCommand:
         assert lines[1].startswith("good,1,")
         assert [line.split(",")[0] for line in lines[1:]] == ["good", "mid", "bad"]
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        """A UTF-8 byte-order mark before the header, as spreadsheet CSV exports write it."""
+        text = (GOLDEN / "errors.csv").read_text(encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        header_first = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+        marked.write_text(header_first, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfdataset,")
+        assert main(["rank", str(GOLDEN / "errors.csv")]) == 0
+        expected = capsys.readouterr().out
+        assert main(["rank", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_json_output_parses(self, synth_csv, capsys):
         assert main(["rank", synth_csv, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ class TestIngestErrorTable:
         stream = io.BytesIO((HEADER + "iris,rf,1,0.05,\n").encode("utf-8"))
         assert len(ingest_error_table(stream)) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [HEADER + "iris,rf,1,0.05,\n", "# note\n" + HEADER + "iris,rf,1,0.05,\n"],
+        ids=["header first", "comment first"],
+    )
+    def test_byte_order_mark_dropped(self, text):
+        expected = ingest_error_table(text).records
+        assert ingest_error_table("\ufeff" + text).records == expected
+        assert ingest_error_table(("\ufeff" + text).encode("utf-8")).records == expected
+        assert ingest_error_table(io.BytesIO(("\ufeff" + text).encode("utf-8"))).records == expected
+
+    def test_only_one_leading_byte_order_mark_dropped(self):
+        with pytest.raises(InputError, match=r"unexpected header \['\\ufeffdataset'"):
+            ingest_error_table("\ufeff\ufeff" + HEADER + "iris,rf,1,0.05,\n")
+
     def test_missing_cv_column_degraded_mode(self):
         table = ingest_error_table("dataset,algorithm,subset,test_error\niris,rf,1,0.05\n")
         assert table.records[0].cv_error is None
@@ -112,6 +128,16 @@ SCHEMAS = {
 }
 
 
+# Line ends for the tests below: io.StringIO splits lines only at "\n", so
+# the other characters str.splitlines breaks at must not move a line number.
+EOL = st.sampled_from(["\n", "\r\n"])
+IDENTIFIER_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", "\x0c", "\u2028", "x"]), max_size=4)
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     schema=st.sampled_from(sorted(SCHEMAS)),
@@ -125,13 +151,15 @@ SCHEMAS = {
 )
 def test_error_names_the_file_line_of_the_malformed_row(schema, gaps, bad_at, data):
     header, good, malformed, ingest = SCHEMAS[schema]
-    rows = [good(i) for i in range(3)]
+    rows = [good(i).replace(f"ds{i}", quoted(f"ds{i}" + data.draw(IDENTIFIER_TEXT)), 1) for i in range(3)]
     rows[bad_at] = bad = data.draw(st.sampled_from(malformed))
     lines = gaps[0] + [header]
     for gap, row in zip(gaps[1:], rows):
         lines += gap + [row]
-    with pytest.raises(InputError, match=rf"^line {lines.index(bad) + 1}: "):
-        ingest("\n".join(lines) + "\n")
+    before = "".join(line + data.draw(EOL) for line in lines[: lines.index(bad)])
+    after = "".join(line + data.draw(EOL) for line in lines[lines.index(bad) :])
+    with pytest.raises(InputError, match=rf"^line {before.count(chr(10)) + 1}: "):
+        ingest(before + after)
 
 
 def number(kind, text, column):
@@ -186,24 +214,30 @@ def reference_ingest(text, record, values):
     return tuple(rec for rec, _ in parsed)
 
 
+# Quoted identifiers holding a delimiter, a quote or a line break of
+# str.splitlines; the blank ones strip to "".
+QUOTED_DATASETS = list(map(quoted, ["d,1", 'd"q', "d\n1", "d\r\n2", "d\r1", "\x0cd", "d\u2028", "d\x1c\x85"]))
+QUOTED_ALGORITHMS = list(map(quoted, ["a\nb", "c,", "a\u2028b"]))
+QUOTED_BLANKS = list(map(quoted, ["\x0c", "\u2028 ", "\r\n"]))
+
 # schema -> (headers, good values per field, bad values per field, record, values, ingester)
 FIELDS = {
     "error": (
         (HEADER.strip(), "dataset,algorithm,subset,test_error"),
-        [["d1", " d1 ", "d2", "d3"], ["a", " b", "c"], ["1", "2", " 2 "],
+        [["d1", " d1 ", "d2", "d3", *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
          ["0.5", " 0.25 ", "0", "1", "-0.0", "1e-3"], ["", " ", "0.1", "1", "0.0"]],
-        [["", " "], ["", "  "], ["3", "0", "x", ""], ["abc", "1.5", "nan", "inf", "1_0", ""],
-         ["abc", "1.5", "nan", "-inf", "1_0"]],
+        [["", " ", *QUOTED_BLANKS], ["", "  ", *QUOTED_BLANKS], ["3", "0", "x", ""],
+         ["abc", "1.5", "nan", "inf", "1_0", ""], ["abc", "1.5", "nan", "-inf", "1_0"]],
         ErrorRecord,
         error_values,
         ingest_error_table,
     ),
     "timing": (
         (TIMING_HEADER.strip(),),
-        [["d1", " d1 ", "d2", "d3"], ["a", " b", "c"], ["1", "2", " 2 "],
+        [["d1", " d1 ", "d2", "d3", *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
          ["1.5", " 0 ", "1_0", "2e3"], ["2", "0.5", " 7 "], ["1", "24", " 3 ", "1_0"]],
-        [["", " "], ["", "  "], ["3", "0", "x", ""], ["abc", "nan", "inf", "-1", ""],
-         ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan"]],
+        [["", " ", *QUOTED_BLANKS], ["", "  ", *QUOTED_BLANKS], ["3", "0", "x", ""],
+         ["abc", "nan", "inf", "-1", ""], ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan"]],
         TimingRecord,
         timing_values,
         ingest_timing_table,
@@ -233,7 +267,7 @@ def table_texts(draw, schema):
     lines = draw(gap) + [header]
     for row in rows:
         lines += draw(gap) + [",".join(row)]
-    return "\n".join(lines) + "\n"
+    return "".join(line + draw(EOL) for line in lines)
 
 
 @settings(max_examples=400, deadline=None)
@@ -249,6 +283,27 @@ def test_column_checks_agree_with_the_per_row_rule(schema, data):
         assert str(raised.value) == str(exc)
     else:
         assert [repr(r) for r in ingest(text).records] == [repr(r) for r in expected]
+
+
+def test_valid_tables_are_never_walked_row_by_row(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a valid table was walked row by row")
+
+    monkeypatch.setattr("benchstat.data._numbered_rows", walk)
+    monkeypatch.setattr("benchstat.data._RecordTable._row_error", classmethod(walk))
+    golden = Path(__file__).parent / "golden"
+    spec = SynthSpec(beta=0.2, alpha={"#a": 0.0, "b": 0.05}, delta={"#d1": 0.0, " #d2": 0.1}, noise_sd=0.01)
+    tables = {
+        "golden errors": ingest_error_table((golden / "errors.csv").read_text(encoding="utf-8")),
+        "golden timing": ingest_timing_table((golden / "timing.csv").read_text(encoding="utf-8")),
+        "synth": ingest_error_table(error_table_to_csv(generate_synthetic(spec, seed=1), "spec")),
+        "no cv": ingest_error_table("dataset,algorithm,subset,test_error\n# x\niris,rf,1,0.05\niris,rf,2,0.1\n"),
+        "timing": ingest_timing_table(TIMING_HEADER + "iris,rf,1,10,120,24\r\niris,knn,2,1, 2 ,3\r\n"),
+    }
+    assert {name: len(t) for name, t in tables.items()} == {
+        "golden errors": 119, "golden timing": 120, "synth": 8, "no cv": 2, "timing": 2,
+    }
+    assert tables["synth"].datasets == ("#d1", "#d2")
 
 
 class TestAggregateErrors:
