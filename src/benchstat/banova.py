@@ -161,52 +161,58 @@ class ChainDraws:
     sigma_d: np.ndarray
     df: Optional[np.ndarray] = None
 
-    def __len__(self) -> int:
-        return len(self.beta)
-
 
 @dataclass
 class PosteriorDraws:
-    """All chains' kept draws plus the configuration that produced them."""
+    """All chains' kept draws plus the configuration that produced them.
+
+    ``block`` is the float64 (chains, columns, draws) array of the draws, its
+    columns in draws-file order: beta, alpha per algorithm, delta per
+    dataset, sigma0, sigma_a, sigma_d and, for the robust variant, df.
+    ``chains`` holds one :class:`ChainDraws` of views of it per chain.
+    """
 
     variant: str
     algorithms: tuple
     datasets: tuple
-    chains: list  # list[ChainDraws], equal lengths
+    block: np.ndarray
     meta: dict = field(default_factory=dict)
+    chains: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.algorithms = tuple(self.algorithms)
         self.datasets = tuple(self.datasets)
-        lengths = {len(c) for c in self.chains}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ValueError("chains must have equal nonzero lengths")
+        n_alg, s = len(self.algorithms), 1 + len(self.algorithms) + len(self.datasets)
+        robust = self.variant == "robust"
+        if self.block.ndim != 3 or self.block.shape[1] != s + 3 + robust or 0 in self.block.shape:
+            raise ValueError(
+                f"draws block of shape {self.block.shape} does not fit the labels: want "
+                f"(chains >= 1, {s + 3 + robust}, draws >= 1) for {self.variant} draws"
+            )
+        self.chains = [
+            ChainDraws(rows[0], rows[1 : 1 + n_alg].T, rows[1 + n_alg : s].T,
+                       rows[s], rows[s + 1], rows[s + 2], rows[s + 3] if robust else None)
+            for rows in self.block
+        ]
 
     @property
     def n_chains(self) -> int:
-        return len(self.chains)
+        return self.block.shape[0]
 
     @property
     def draws_per_chain(self) -> int:
-        return len(self.chains[0])
+        return self.block.shape[2]
 
     def pooled_alpha(self) -> np.ndarray:
         """(total_draws, A) alpha draws concatenated across chains."""
         return np.concatenate([c.alpha for c in self.chains], axis=0)
 
     def scalar_chains(self):
-        """Yield (name, (n_chains, n) array) for every monitored scalar parameter.
-
-        One parameter at a time, so a caller holds one stacked copy, not all.
-        """
-        yield "beta", np.stack([c.beta for c in self.chains])
-        for ai, name in enumerate(self.algorithms):
-            yield f"alpha[{name}]", np.stack([c.alpha[:, ai] for c in self.chains])
-        for di, name in enumerate(self.datasets):
-            yield f"delta[{name}]", np.stack([c.delta[:, di] for c in self.chains])
-        scales = ("sigma0", "sigma_a", "sigma_d") + (("df",) if self.variant == "robust" else ())
-        for name in scales:
-            yield name, np.stack([getattr(c, name) for c in self.chains])
+        """(name, (n_chains, n) view of ``block``) for every monitored scalar
+        parameter, in column order; a normal block has no df column to pair."""
+        names = ["beta", *(f"alpha[{a}]" for a in self.algorithms),
+                 *(f"delta[{d}]" for d in self.datasets), "sigma0", "sigma_a", "sigma_d", "df"]
+        return zip(names, self.block.swapaxes(0, 1))
 
 
 def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> float:
@@ -552,12 +558,12 @@ def run_chains(
     n_ds, n_alg = y.shape
     robust = spec.variant == "robust"
     workers = min(cfg.n_jobs, cfg.chains)
-    # (chain, column, draw) in draws-file column order: every ChainDraws field
-    # is a view, and the effect draws are column-major, as their readers want
+    # every ChainDraws field is a view of the block, and the effect draws are
+    # column-major, as their readers want
     block = _draws_block((cfg.chains, 1 + n_alg + n_ds + 3 + robust, cfg.kept))
-    chains = [_chain_from_matrix(rows.T, n_alg, n_ds, robust) for rows in block]
+    draws = PosteriorDraws(spec.variant, data.algorithms, data.datasets, block)
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
-    jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, chains)]
+    jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, draws.chains)]
     if workers > 1:
         # imported here, as a one-worker run never needs them
         import concurrent.futures
@@ -578,10 +584,10 @@ def run_chains(
     # map effect columns back to the caller's ordering, one chain at a time
     inv_a = np.argsort(perm_a)
     inv_d = np.argsort(perm_d)
-    for c in chains:
+    for c in draws.chains:
         c.alpha[:] = c.alpha[:, inv_a]
         c.delta[:] = c.delta[:, inv_d]
-    meta = {
+    draws.meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
         "adaptation": cfg.adaptation,
@@ -599,8 +605,8 @@ def run_chains(
         },
     }
     if cfg.fixed_df is not None:
-        meta["fixed_df"] = cfg.fixed_df
-    return PosteriorDraws(spec.variant, data.algorithms, data.datasets, chains, meta)
+        draws.meta["fixed_df"] = cfg.fixed_df
+    return draws
 
 
 def pairwise_difference_draws(p: PosteriorDraws, i: str, j: str) -> np.ndarray:
@@ -651,23 +657,6 @@ def _draws_block(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
 
 
-def _chain_matrix(chain: ChainDraws) -> np.ndarray:
-    """(n, columns) matrix of one chain in draws-file column order."""
-    columns = [chain.beta, chain.alpha, chain.delta, chain.sigma0, chain.sigma_a, chain.sigma_d]
-    if chain.df is not None:
-        columns.append(chain.df)
-    return np.column_stack(columns)
-
-
-def _chain_from_matrix(rows: np.ndarray, n_alg: int, n_ds: int, robust: bool) -> ChainDraws:
-    """Inverse of :func:`_chain_matrix`; the fields are views of ``rows``."""
-    s = 1 + n_alg + n_ds
-    return ChainDraws(
-        rows[:, 0], rows[:, 1 : 1 + n_alg], rows[:, 1 + n_alg : s],
-        rows[:, s], rows[:, s + 1], rows[:, s + 2], rows[:, s + 3] if robust else None,
-    )
-
-
 def save_draws(p: PosteriorDraws, path):
     """Write draws to a self-describing binary file (format v2).
 
@@ -688,8 +677,8 @@ def save_draws(p: PosteriorDraws, path):
     }
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC} v2 {json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
-        for chain in p.chains:
-            fh.write(memoryview(np.ascontiguousarray(_chain_matrix(chain), dtype="<f8")))
+        for chain in p.block:
+            fh.write(memoryview(np.ascontiguousarray(chain.T, dtype="<f8")))
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -728,21 +717,18 @@ def load_draws(path) -> PosteriorDraws:
                 f"draws file {path}: header has variant {variant!r}, {n_chains} chains and "
                 f"{per_chain} draws per chain; expected normal or robust and at least 1 each"
             )
-        n_alg, n_ds, robust = len(algorithms), len(datasets), variant == "robust"
-        n_cols = 1 + n_alg + n_ds + 3 + robust  # see _chain_matrix
-        shape = (n_chains, per_chain, n_cols)
+        n_cols = 1 + len(algorithms) + len(datasets) + 3 + (variant == "robust")
         read = _read_v1_rows if version == "v1" else _read_v2_block
-        blocks = read(fh, path, shape)
-    chains = [_chain_from_matrix(b, n_alg, n_ds, robust) for b in blocks]
-    return PosteriorDraws(variant, algorithms, datasets, chains, header.get("meta", {}))
+        block = read(fh, path, (n_chains, per_chain, n_cols))
+    return PosteriorDraws(variant, algorithms, datasets, block, header.get("meta", {}))
 
 
-def _read_v2_block(fh, path, shape: tuple) -> list:
-    """Per-chain (draws, columns) views of the float64 block after a v2 header.
+def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
+    """The float64 block after a v2 header, as a (chain, column, draw) block.
 
     The block is checked against ``shape`` and read a slice of draws at a
-    time into the (chain, column, draw) layout that :func:`run_chains` fills,
-    so the loaded effect draws are column-major too.
+    time into the layout that :func:`run_chains` fills, so the loaded effect
+    draws are column-major too.
     """
     want = 8 * math.prod(shape)
     found = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -760,11 +746,12 @@ def _read_v2_block(fh, path, shape: tuple) -> list:
             part = buf[: min(step, per_chain - start)]
             fh.readinto(part.data)
             rows[:, start : start + len(part)] = part.T
-    return [rows.T for rows in block]
+    return block
 
 
-def _read_v1_rows(fh, path, shape: tuple) -> list:
-    """Per-chain rows of a v1 text file after its header line (legacy, read-only).
+def _read_v1_rows(fh, path, shape: tuple) -> np.ndarray:
+    """The (chain, column, draw) block of the rows of a v1 text file after its
+    header line (legacy, read-only).
 
     v1 has a column-header line, then one comma-separated row per draw of
     shortest-roundtrip decimals with a leading chain-index column.
@@ -779,10 +766,12 @@ def _read_v1_rows(fh, path, shape: tuple) -> list:
         text.detach()  # ``load_draws`` closes the file, not the collected wrapper
     if body.shape[1] != shape[2] + 1:
         raise InputError(f"draws file {path} has {body.shape[1]} columns, want {shape[2] + 1}")
-    chains = [body[body[:, 0] == ci, 1:] for ci in range(shape[0])]
-    for ci, rows in enumerate(chains):
+    block = _draws_block((shape[0], shape[2], shape[1]))
+    for ci, columns in enumerate(block):
+        rows = body[body[:, 0] == ci, 1:]
         if len(rows) != shape[1]:
             raise InputError(
                 f"draws file {path}: chain {ci} has {len(rows)} draws, want {shape[1]}"
             )
-    return chains
+        columns[:] = rows.T
+    return block

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -391,19 +391,20 @@ def _lines(source) -> list:
     return ["\n" if "#" in line and line.lstrip().startswith("#") else line for line in lines]
 
 
-def _nonblank(reader) -> Iterator[list]:
-    """The rows of ``reader`` that are not blank."""
-    return (row for row in reader if len(row) > 1 or row and row[0].strip())
-
-
 def _numbered_rows(lines: list) -> tuple:
     """The rows after the header, and the file line each ends on: a second
-    read of ``lines``, made only to name the line of an error."""
+    read of ``lines``, made only to name the line of an error.  A record the
+    reader rejects, header or row, is an error naming the line it starts on."""
     reader = csv.reader(lines)
-    rows, numbers = [], []
-    for row in _nonblank(reader):
-        rows.append(row)
-        numbers.append(reader.line_num)
+    rows, numbers, start = [], [], 1
+    try:
+        for row in reader:
+            if len(row) > 1 or row and row[0].strip():  # not blank, as in _ingest
+                rows.append(row)
+                numbers.append(reader.line_num)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise InputError(f"line {start}: {exc}") from None
     return rows[1:], numbers[1:]
 
 
@@ -416,17 +417,18 @@ def _ingest(source, table: type):
     constructor's range checks; row errors come before duplicate keys.
     """
     lines = _lines(source)
-    rows = _nonblank(csv.reader(lines))
-    header = next(rows, None)
-    if header is None:
-        raise InputError("empty input: missing header")
-    header = [h.strip() for h in header]
-    if header not in table.headers:
-        raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
+    rows = (row for row in csv.reader(lines) if len(row) > 1 or row and row[0].strip())
     try:
+        header = next(rows, None)
+        if header is None:
+            raise InputError("empty input: missing header")
+        header = [h.strip() for h in header]
+        if header not in table.headers:
+            raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
         return table._from_rows(list(rows), len(header))
-    except (_Rejected, ValueError):
+    except (_Rejected, ValueError, csv.Error):
         pass  # leaving the handler frees the columns before the second read
+    # the second read raises the csv.Error of a header or row again, with its line
     rows, numbers = _numbered_rows(lines)
     table._row_error(rows, numbers, len(header))
     keys = [(row[0].strip(), row[1].strip(), int(row[2])) for row in rows]

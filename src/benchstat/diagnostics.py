@@ -203,6 +203,7 @@ def posterior_predictive_check(
     rng = np.random.default_rng(seed)
     di, ai = np.nonzero(data.mask)
     y = data.values[di, ai]
+    a_cols, d_cols = 1 + ai, 1 + len(p.algorithms) + di  # each cell's effect columns
     picks = rng.choice(total, size=n_draws, replace=False)
     pairs = []
     greater = 0
@@ -210,10 +211,9 @@ def posterior_predictive_check(
     for idx in picks:
         # pooled draw idx is draw i of chain c; read it where it is stored
         c, i = divmod(int(idx), p.draws_per_chain)
-        chain = p.chains[c]
-        # effect draws are column-major: copy the draw's strided rows once, then gather
-        nu = chain.beta[i] + chain.alpha[i].copy()[ai] + chain.delta[i].copy()[di]
-        s = chain.sigma0[i]
+        state = p.block[c, :, i].copy()  # one strided copy of the draw, then gathers
+        nu = state[0] + state[a_cols] + state[d_cols]
+        s = state[-3]  # sigma0: a normal block ends sigma0, sigma_a, sigma_d
         t_real = float(((y - nu) ** 2).sum() / (s * s))
         y_rep = nu + rng.normal(0.0, s, size=nu.shape)
         t_rep = float(((y_rep - nu) ** 2).sum() / (s * s))

@@ -28,7 +28,6 @@ from benchstat import (
 import benchstat
 from benchstat import banova
 from benchstat.banova import (
-    ChainDraws,
     PosteriorDraws,
     _binet,
     _binet_slopes,
@@ -555,29 +554,17 @@ class TestPairwiseDifferences:
 
 class TestRopeMatrix:
     def test_degenerate_zero_draws_give_one(self):
-        chain = ChainDraws(
-            beta=np.zeros(10),
-            alpha=np.zeros((10, 3)),
-            delta=np.zeros((10, 2)),
-            sigma0=np.ones(10),
-            sigma_a=np.ones(10),
-            sigma_d=np.ones(10),
-        )
-        draws = PosteriorDraws("normal", ("a", "b", "c"), ("d1", "d2"), [chain, chain])
+        block = np.zeros((2, 1 + 3 + 2 + 3, 10))
+        block[:, -3:] = 1.0  # sigma0, sigma_a, sigma_d
+        draws = PosteriorDraws("normal", ("a", "b", "c"), ("d1", "d2"), block)
         m = rope_probability_matrix(draws, 0.0112)
         off_diag = m.values[~np.eye(3, dtype=bool)]
         assert (off_diag == 1.0).all()
 
     def test_nonpositive_half_width_rejected(self):
-        chain = ChainDraws(
-            beta=np.zeros(2),
-            alpha=np.zeros((2, 2)),
-            delta=np.zeros((2, 2)),
-            sigma0=np.ones(2),
-            sigma_a=np.ones(2),
-            sigma_d=np.ones(2),
-        )
-        draws = PosteriorDraws("normal", ("a", "b"), ("d1", "d2"), [chain, chain])
+        block = np.zeros((2, 1 + 2 + 2 + 3, 2))
+        block[:, -3:] = 1.0
+        draws = PosteriorDraws("normal", ("a", "b"), ("d1", "d2"), block)
         with pytest.raises(InputError):
             rope_probability_matrix(draws, 0.0)
 
@@ -598,6 +585,41 @@ class TestRopeMatrix:
         np.testing.assert_array_equal(
             base.values[np.ix_(perm, perm)], permuted.values
         )
+
+
+class TestDrawsBlock:
+    @pytest.mark.parametrize(
+        "variant, shape",
+        [
+            ("normal", (2, 10, 5)),  # one column too many: the columns of 3 algorithms
+            ("robust", (2, 9, 5)),  # no df column
+            ("normal", (9, 5)),  # not (chain, column, draw)
+            ("normal", (2, 9, 0)),  # no draws
+            ("normal", (0, 9, 5)),  # no chains
+        ],
+        ids=["column count", "missing df", "not 3-D", "zero draws", "zero chains"],
+    )
+    def test_block_that_does_not_fit_the_labels_rejected(self, variant, shape):
+        # 2 algorithms and 3 datasets: beta, 5 effects, 3 scales and df if robust
+        with pytest.raises(ValueError, match="does not fit the labels"):
+            PosteriorDraws(variant, ("a", "b"), ("d1", "d2", "d3"), np.zeros(shape))
+
+    @pytest.mark.parametrize("source", ["sampled", "v2 file", "v1 file"])
+    def test_every_read_is_a_view_of_the_block(self, tmp_path, source):
+        if source == "v1 file":
+            draws = load_draws(Path(__file__).parent / "golden" / "legacy-v1.draws")
+        else:
+            m, _ = synthetic_matrix(np.random.default_rng(6), 3, 6)
+            cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=20)
+            draws = run_chains(build_model(m, "robust"), m, cfg, seed=2)
+        if source == "v2 file":
+            save_draws(draws, tmp_path / "draws.bin")
+            draws = load_draws(tmp_path / "draws.bin")
+        scalars = [values for _, values in draws.scalar_chains()]
+        assert len(scalars) == draws.block.shape[1]
+        fields = [v for c in draws.chains for v in vars(c).values() if v is not None]
+        for values in scalars + fields:
+            assert np.shares_memory(values, draws.block)
 
 
 class TestPersistence:
@@ -692,21 +714,15 @@ class TestPersistence:
         assert "ResourceWarning" not in run.stderr
 
     def test_block_read_in_slices_keeps_every_draw(self, tmp_path):
-        # 354 columns are read about 370 draws at a time: 3 slices per chain
+        # 355 columns are read about 370 draws at a time: 3 slices per chain
         rng = np.random.default_rng(14)
         n, n_alg, n_ds = 1000, 50, 300
-        chains = [
-            ChainDraws(
-                rng.standard_normal(n), rng.standard_normal((n, n_alg)),
-                rng.standard_normal((n, n_ds)), *rng.random((4, n)),
-            )
-            for _ in range(3)
-        ]
+        block = rng.standard_normal((3, 1 + n_alg + n_ds + 4, n))
         draws = PosteriorDraws(
-            "robust", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], chains
+            "robust", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], block
         )
         save_draws(draws, tmp_path / "draws.bin")
-        assert_same_chains(chains, load_draws(tmp_path / "draws.bin").chains)
+        assert_same_chains(draws.chains, load_draws(tmp_path / "draws.bin").chains)
 
     def test_malformed_v1_text_rejected(self, tmp_path):
         lines = (Path(__file__).parent / "golden" / "legacy-v1.draws").read_text().splitlines(True)

@@ -345,6 +345,12 @@ class TestErrorHandling:
         assert main(["rank", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_unclosed_quote_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "d,a,1,0.1,\n" + 'd,"a,2,0.1,\n' + "x" * 140_000 + "\n")
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: field larger than field limit")
+
     def test_unknown_flag_exit_2(self, synth_csv, capsys):
         assert main(["rank", synth_csv, "--bogus"]) == 2
         capsys.readouterr()

@@ -63,6 +63,18 @@ class TestIngestErrorTable:
         with pytest.raises(InputError, match="line 2"):
             ingest_error_table(HEADER + "iris,rf,1,notanumber,\n")
 
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "before, line",
+        [("# c\n\n", 3), ("# c\n" + HEADER + "iris,rf,1,0.05,\n\n# d\n", 6)],
+        ids=["header", "data row"],
+    )
+    def test_reader_error_names_the_line_its_record_starts_on(self, before, line, as_bytes):
+        # an unclosed quote runs its field past the csv module's 131,072-character limit
+        text = before + 'iris,"rf,2,0.05,\n' + "x" * 140_000 + "\n"
+        with pytest.raises(InputError, match=rf"^line {line}: field larger than field limit"):
+            ingest_error_table(text.encode("utf-8") if as_bytes else text)
+
     def test_bad_header_rejected(self):
         with pytest.raises(InputError, match="header"):
             ingest_error_table("a,b,c\n1,2,3\n")

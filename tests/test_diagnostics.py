@@ -18,7 +18,7 @@ from benchstat import (
     psrf,
     run_chains,
 )
-from benchstat.banova import ChainDraws, PosteriorDraws
+from benchstat.banova import PosteriorDraws
 from benchstat.data import AggregatedMatrix
 from benchstat.diagnostics import _DIRECT_LAGS, _chain_ess, _fft_size
 
@@ -317,22 +317,15 @@ class TestDiagnosticReport:
             assert row.r_hat == psrf(chains).point_estimate
 
     def test_peak_memory_stays_near_the_held_draws(self):
-        # the report stacks one parameter's chains at a time, not all of them
+        # the report takes one parameter's chains at a time, not all of them
         rng = np.random.default_rng(9)
         n_alg, n_ds, n = 6, 40, 2000
-        chains = [
-            ChainDraws(
-                rng.standard_normal(n),
-                rng.standard_normal((n, n_alg)),
-                rng.standard_normal((n, n_ds)),
-                *np.abs(rng.standard_normal((3, n))),
-            )
-            for _ in range(4)
-        ]
+        block = rng.standard_normal((4, 1 + n_alg + n_ds + 3, n))
+        block[:, -3:] = np.abs(block[:, -3:])  # sigma0, sigma_a, sigma_d
         draws = PosteriorDraws(
-            "normal", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], chains
+            "normal", [f"a{i}" for i in range(n_alg)], [f"d{i}" for i in range(n_ds)], block
         )
-        held = sum(v.nbytes for c in chains for v in vars(c).values() if v is not None)
+        held = block.nbytes
         tracemalloc.start()  # counts only what the report allocates
         try:
             diagnostic_report(draws)
