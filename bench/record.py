@@ -16,7 +16,10 @@ times are already in reference seconds; end-to-end times are wall seconds.
 
 It also times one ``bayes --paper-config --seed 1`` run per variant (normal
 and robust) in a fresh Python process on perfbench's seed-1 bayes table of
-that variant, and records its wall seconds, start-up and import included.
+that variant, and records its wall seconds, start-up and import included,
+with the machine-speed factor of that run: while it runs, this process times
+perfbench's speed-probe kernel on the probe's timer, and the factor is the
+median kernel time over its reference time, as for the workload runs.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
 """
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -37,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import tables  # noqa: E402  perfbench's seeded input tables
+from speed import KERNEL_REF_S, SpeedProbe  # noqa: E402  perfbench's machine-speed probe
 
 SEED = 1
 SPEED = re.compile(r"(\d+) rounds; median kernel ([\d.]+) ms \(reference ([\d.]+) ms\)")
@@ -71,12 +76,16 @@ def paper_config_run(variant: str) -> dict:
         argv = [sys.executable, "-m", "benchstat.cli", "bayes", str(table), "--variant", variant,
                 "--paper-config", "--seed", str(SEED), "--out", str(Path(work) / "report.csv")]
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        probe = SpeedProbe()
+        probe.start()
         start = time.perf_counter()
         done = subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
         seconds = time.perf_counter() - start
+        probe.stop()
     if done.returncode != 0:
         raise SystemExit(f"bayes --variant {variant} --paper-config exited {done.returncode}:\n{done.stderr}")
-    return {"variant": variant, "seed": SEED, "wall_s": seconds}
+    factor = statistics.median(probe.samples) / KERNEL_REF_S
+    return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor}
 
 
 def main(argv=None) -> int:
@@ -93,8 +102,10 @@ def main(argv=None) -> int:
             print(f"{workload} trace {trace}: {json.dumps(runs[-1]['result'])}", file=sys.stderr)
     paper_config = []
     for variant in ("normal", "robust"):
-        paper_config.append(paper_config_run(variant))
-        print(f"bayes --paper-config {variant}: {paper_config[-1]['wall_s']:.2f} s", file=sys.stderr)
+        entry = paper_config_run(variant)
+        paper_config.append(entry)
+        print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}",
+              file=sys.stderr)
     tracked = git("status", "--porcelain", "--untracked-files=no")
     new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     record = {

@@ -203,9 +203,10 @@ class PosteriorDraws:
     def draws_per_chain(self) -> int:
         return self.block.shape[2]
 
-    def pooled_alpha(self) -> np.ndarray:
-        """(total_draws, A) alpha draws concatenated across chains."""
-        return np.concatenate([c.alpha for c in self.chains], axis=0)
+    def check_labels(self, m: AggregatedMatrix):
+        """Raise InputError unless ``m`` has these draws' labels, in order."""
+        if self.algorithms != m.algorithms or self.datasets != m.datasets:
+            raise InputError("draws and data matrix label mismatch")
 
     def scalar_chains(self):
         """(name, (n_chains, n) view of ``block``) for every monitored scalar
@@ -581,12 +582,12 @@ def run_chains(
                 raise ComputationError(f"a chain's worker process died: {exc}") from None
     else:
         counters = [_run_chain(*job) for job in jobs]
-    # map effect columns back to the caller's ordering, one chain at a time
-    inv_a = np.argsort(perm_a)
-    inv_d = np.argsort(perm_d)
-    for c in draws.chains:
-        c.alpha[:] = c.alpha[:, inv_a]
-        c.delta[:] = c.delta[:, inv_d]
+    # map effect rows back to the caller's ordering, one chain at a time
+    inv_a = 1 + np.argsort(perm_a)
+    inv_d = 1 + n_alg + np.argsort(perm_d)
+    for rows in block:
+        rows[1 : 1 + n_alg] = rows[inv_a]
+        rows[1 + n_alg : 1 + n_alg + n_ds] = rows[inv_d]
     draws.meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
@@ -610,7 +611,7 @@ def run_chains(
 
 
 def pairwise_difference_draws(p: PosteriorDraws, i: str, j: str) -> np.ndarray:
-    """alpha_i - alpha_j per kept draw, concatenated across chains.
+    """alpha_i - alpha_j per kept draw, chain after chain.
 
     Differences are invariant to the additive non-identifiability of
     beta + alpha + delta, so they need no recentering.
@@ -622,22 +623,18 @@ def pairwise_difference_draws(p: PosteriorDraws, i: str, j: str) -> np.ndarray:
         jj = p.algorithms.index(j)
     except ValueError as exc:
         raise InputError(f"unknown algorithm: {exc}") from None
-    pooled = p.pooled_alpha()
-    return pooled[:, ii] - pooled[:, jj]
+    return (p.block[:, 1 + ii] - p.block[:, 1 + jj]).ravel()
 
 
 def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMatrix:
-    """Fraction of pooled draws with |alpha_i - alpha_j| inside the ROPE."""
+    """Fraction of all chains' draws with |alpha_i - alpha_j| inside the ROPE."""
     if half_width <= 0:
         raise InputError(f"half_width must be positive, got {half_width}")
-    pooled = p.pooled_alpha()
-    k = pooled.shape[1]
+    k = len(p.algorithms)
     values = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = pooled[:, i] - pooled[:, j]
-            prob = float((np.abs(diff) < half_width).mean())
-            values[i, j] = values[j, i] = prob
+    for i, j in zip(*np.triu_indices(k, 1)):
+        inside = np.count_nonzero(np.abs(p.block[:, 1 + i] - p.block[:, 1 + j]) < half_width)
+        values[i, j] = values[j, i] = inside / (p.n_chains * p.draws_per_chain)
     return PairwiseMatrix(p.algorithms, values, "rope_prob")
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import banova, data, diagnostics, nhst, ranks, render, threshold
-from .errors import BenchstatError, ComputationError, InputError
+from .errors import BenchstatError, InputError
 
 
 def _read(path: str):
@@ -195,11 +195,11 @@ def cmd_bayes(
 ):
     """Hierarchical Bayesian ANOVA: ROPE probability matrix plus diagnostics."""
     header = ""
+    matrix = data.aggregate_errors(_load_error_table(input_path))
     if load_path:
         draws = banova.load_draws(load_path)
+        draws.check_labels(matrix)
     else:
-        table = _load_error_table(input_path)
-        matrix = data.aggregate_errors(table)
         spec = banova.build_model(matrix, variant)
         base = banova.McmcConfig.paper() if paper_config else banova.McmcConfig()
         # the --config file first, then the chains/burn-in/... options over it
@@ -296,10 +296,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except (ComputationError, BenchstatError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except OSError as exc:
+    except (BenchstatError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -90,10 +90,6 @@ class TimingRecord:
         if self.n_hyper_combos < 1:
             raise InputError(f"n_hyper_combos must be >= 1, got {self.n_hyper_combos}")
 
-    @property
-    def per_hyper_seconds(self) -> float:
-        return self.hyper_search_seconds / self.n_hyper_combos
-
 
 class _Rejected(Exception):
     """Some row breaks a rule; the per-row walk finds which."""
@@ -182,7 +178,6 @@ class _RecordTable:
         Raises ``_Rejected`` where two rows share a cell.
         """
         self.datasets, self.algorithms = tuple(datasets), tuple(algorithms)
-        self._dataset_index, self._algorithm_index = datasets, algorithms
         shape = (len(datasets), len(algorithms), 2)
         cell = np.ravel_multi_index(index, shape)
         order = np.full(math.prod(shape), -1, dtype=np.intp)
@@ -263,14 +258,6 @@ class _RecordTable:
                 )
             )
         return self._records
-
-    def get(self, dataset: str, algorithm: str, subset: int):
-        d = self._dataset_index.get(dataset)
-        a = self._algorithm_index.get(algorithm)
-        if d is None or a is None or subset not in (1, 2):
-            return None
-        n = self.order[d, a, subset - 1]
-        return self.records[n] if n >= 0 else None
 
     def __len__(self) -> int:
         return int(self.present.sum())
@@ -392,9 +379,10 @@ def _lines(source) -> list:
 
 
 def _numbered_rows(lines: list) -> tuple:
-    """The rows after the header, and the file line each ends on: a second
-    read of ``lines``, made only to name the line of an error.  A record the
-    reader rejects, header or row, is an error naming the line it starts on."""
+    """The rows after the header, the file line each ends on, and the error
+    for a record the reader rejects, header or row, naming the line it starts
+    on (None if it rejects none; the rows then stop before that record): a
+    second read of ``lines``, made only to name the line of an error."""
     reader = csv.reader(lines)
     rows, numbers, start = [], [], 1
     try:
@@ -404,8 +392,8 @@ def _numbered_rows(lines: list) -> tuple:
                 numbers.append(reader.line_num)
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise InputError(f"line {start}: {exc}") from None
-    return rows[1:], numbers[1:]
+        return rows[1:], numbers[1:], InputError(f"line {start}: {exc}")
+    return rows[1:], numbers[1:], None
 
 
 def _ingest(source, table: type):
@@ -418,6 +406,7 @@ def _ingest(source, table: type):
     """
     lines = _lines(source)
     rows = (row for row in csv.reader(lines) if len(row) > 1 or row and row[0].strip())
+    header = []  # stays empty where the reader rejects the header
     try:
         header = next(rows, None)
         if header is None:
@@ -428,10 +417,13 @@ def _ingest(source, table: type):
         return table._from_rows(list(rows), len(header))
     except (_Rejected, ValueError, csv.Error):
         pass  # leaving the handler frees the columns before the second read
-    # the second read raises the csv.Error of a header or row again, with its line
-    rows, numbers = _numbered_rows(lines)
+    # an error in the rows before a record the reader rejects comes first,
+    # as it does in the file
+    rows, numbers, reader_error = _numbered_rows(lines)
     table._row_error(rows, numbers, len(header))
     keys = [(row[0].strip(), row[1].strip(), int(row[2])) for row in rows]
+    if reader_error is not None and len(set(keys)) == len(keys):
+        raise reader_error
     raise _duplicate_error(keys, numbers)  # ValueError if none: the checks disagree
 
 

@@ -11,22 +11,13 @@ from .data import AggregatedMatrix
 from .errors import InputError
 
 
-@dataclass
-class PsrfResult:
-    point_estimate: Optional[float]  # None when undefined (zero within-chain variance)
-
-    @property
-    def defined(self) -> bool:
-        return self.point_estimate is not None
-
-
-def psrf(chains, split: bool = False) -> PsrfResult:
+def psrf(chains, split: bool = False) -> Optional[float]:
     """Gelman-Rubin potential scale reduction factor of one scalar parameter.
 
     ``chains`` is an (m, n) array-like of m chains of length n.  The base
     estimator is sqrt(Var+/W) with Var+ = ((n-1)/n) W + B/n; ``split``
-    halves each chain first.  Constant chains make the ratio 0/0 and the
-    result is reported as undefined rather than NaN.
+    halves each chain first.  Constant chains make the ratio 0/0, so the
+    result is None (undefined) rather than NaN.
     """
     x = np.asarray(chains, dtype=float)
     if x.ndim != 2:
@@ -45,9 +36,9 @@ def psrf(chains, split: bool = False) -> PsrfResult:
     w = float(chain_vars.mean())
     b_over_n = float(chain_means.var(ddof=1))  # = B/n
     if w == 0.0:
-        return PsrfResult(None)
+        return None
     var_plus = (n - 1) / n * w + b_over_n
-    return PsrfResult(float(np.sqrt(var_plus / w)))
+    return float(np.sqrt(var_plus / w))
 
 
 def _fft_size(m: int) -> int:
@@ -161,7 +152,7 @@ def diagnostic_report(draws: PosteriorDraws):
             ess = effective_sample_size(chains)
         except InputError:
             ess = None
-        rows.append(DiagnosticRow(name, psrf(chains).point_estimate, ess))
+        rows.append(DiagnosticRow(name, psrf(chains), ess))
     return rows
 
 
@@ -197,8 +188,7 @@ def posterior_predictive_check(
     total = p.n_chains * p.draws_per_chain
     if n_draws > total:
         raise InputError(f"n_draws {n_draws} exceeds total kept draws {total}")
-    if p.algorithms != data.algorithms or p.datasets != data.datasets:
-        raise InputError("draws and data matrix label mismatch")
+    p.check_labels(data)
 
     rng = np.random.default_rng(seed)
     di, ai = np.nonzero(data.mask)

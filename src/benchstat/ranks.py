@@ -157,12 +157,13 @@ def histogram_to_csv(r: RankMatrix) -> str:
     return serialise("csv", ["algorithm", "rank", "count"], rows)
 
 
-def histogram_to_svg(r: RankMatrix, cell: int = 28) -> str:
+def histogram_to_svg(r: RankMatrix) -> str:
     """Standalone grayscale SVG heatmap of the rank histogram.
 
     Layout is deterministic: algorithms ordered as in the matrix (rows),
     ranks ascending (columns), darker means more datasets.
     """
+    cell = 28  # side of one square, px
     counts = rank_histogram(r)
     n_alg, n_rank = counts.shape
     peak = counts.max() if counts.size else 1

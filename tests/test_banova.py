@@ -178,7 +178,7 @@ class TestRunChains:
         m.mask[2, 1] = False
         spec = build_model(m)
         draws = run_chains(spec, m, McmcConfig(chains=2, burn_in=50, adaptation=50, kept=100), seed=1)
-        assert np.isfinite(draws.pooled_alpha()).all()
+        assert np.isfinite(draws.block).all()
 
     def test_posterior_concentrates_on_planted_difference(self):
         rng = np.random.default_rng(2)
@@ -529,6 +529,17 @@ class TestDegreesOfFreedom:
                 assert 1.0 <= chain[name]["proposals_per_draw"] <= 1.5, name
 
 
+def hand_built_draws():
+    """Two chains of four draws whose alpha rows differ between chains: alpha_b
+    is 0 and alpha_c is 0.5 throughout, so b and c sit exactly a half-width
+    of 0.5 apart."""
+    block = np.zeros((2, 1 + 3 + 2 + 3, 4))
+    block[:, 1] = [[0.0, 0.25, 0.5, -0.5], [1.0, 0.125, 3.0, 2.0]]  # alpha_a
+    block[:, 3] = 0.5  # alpha_c
+    block[:, -3:] = 1.0  # sigma0, sigma_a, sigma_d
+    return PosteriorDraws("normal", ("a", "b", "c"), ("d1", "d2"), block)
+
+
 class TestPairwiseDifferences:
     def _draws(self):
         rng = np.random.default_rng(4)
@@ -551,6 +562,15 @@ class TestPairwiseDifferences:
             -pairwise_difference_draws(draws, "a1", "a0"),
         )
 
+    def test_chain_after_chain_on_a_hand_built_block(self):
+        draws = hand_built_draws()
+        np.testing.assert_array_equal(
+            pairwise_difference_draws(draws, "a", "b"), [0.0, 0.25, 0.5, -0.5, 1.0, 0.125, 3.0, 2.0]
+        )
+        np.testing.assert_array_equal(
+            pairwise_difference_draws(draws, "c", "a"), [0.5, 0.25, 0.0, 1.0, -0.5, 0.375, -2.5, -1.5]
+        )
+
 
 class TestRopeMatrix:
     def test_degenerate_zero_draws_give_one(self):
@@ -560,6 +580,13 @@ class TestRopeMatrix:
         m = rope_probability_matrix(draws, 0.0112)
         off_diag = m.values[~np.eye(3, dtype=bool)]
         assert (off_diag == 1.0).all()
+
+    def test_counts_over_both_chains_and_the_boundary_is_outside(self):
+        # a - b: 0, 0.25 | 0.125 inside; 0.5 and -0.5 on the boundary, outside.
+        # a - c: -0.25, 0 | -0.375 inside.  b - c: -0.5 in every draw, outside.
+        m = rope_probability_matrix(hand_built_draws(), 0.5)
+        expected = np.array([[np.nan, 3 / 8, 3 / 8], [3 / 8, np.nan, 0.0], [3 / 8, 0.0, np.nan]])
+        np.testing.assert_array_equal(m.values, expected)
 
     def test_nonpositive_half_width_rejected(self):
         block = np.zeros((2, 1 + 2 + 2 + 3, 2))
@@ -585,6 +612,18 @@ class TestRopeMatrix:
         np.testing.assert_array_equal(
             base.values[np.ix_(perm, perm)], permuted.values
         )
+
+
+    def test_relabeling_permutes_every_effect_row_exactly(self):
+        m, _ = synthetic_matrix(np.random.default_rng(5), 4, 6)
+        spec = build_model(m)
+        cfg = McmcConfig(chains=2, burn_in=20, adaptation=20, kept=30)
+        pa, pd = [2, 0, 3, 1], [5, 3, 0, 4, 1, 2]
+        m2 = AggregatedMatrix([m.algorithms[i] for i in pa], [m.datasets[i] for i in pd],
+                              m.values[np.ix_(pd, pa)], m.mask[np.ix_(pd, pa)])
+        base = run_chains(spec, m, cfg, seed=7).block
+        rows = [0, *(1 + np.array(pa)), *(5 + np.array(pd)), 11, 12, 13]
+        np.testing.assert_array_equal(base[:, rows], run_chains(spec, m2, cfg, seed=7).block)
 
 
 class TestDrawsBlock:

@@ -176,6 +176,16 @@ class TestBayesCommand:
         direct_body = "\n".join(l for l in direct.splitlines() if not l.startswith("# seed"))
         assert direct_body == reloaded.strip("\n")
 
+    def test_load_with_unreadable_input_exit_2(self, capsys):
+        draws = str(GOLDEN / "legacy-v1.draws")
+        assert main(["bayes", "/nonexistent/other.csv", "--load", draws]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read /nonexistent/other.csv")
+
+    def test_load_with_other_labels_exit_2(self, synth_csv, capsys):
+        # the golden draws were sampled on the golden error table's labels
+        assert main(["bayes", synth_csv, "--load", str(GOLDEN / "legacy-v1.draws")]) == 2
+        assert capsys.readouterr().err == "error: draws and data matrix label mismatch\n"
+
     def test_config_file(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
         cfg.write_text("# settings\nchains=3\nburn_in=50\nadaptation=50\nkept=80\n")

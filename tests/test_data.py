@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,22 @@ class TestIngestErrorTable:
         text = before + 'iris,"rf,2,0.05,\n' + "x" * 140_000 + "\n"
         with pytest.raises(InputError, match=rf"^line {line}: field larger than field limit"):
             ingest_error_table(text.encode("utf-8") if as_bytes else text)
+
+    @pytest.mark.parametrize(
+        "before, message",
+        [
+            (HEADER + "a,b,1,zz,\n", "line 2: malformed test_error value 'zz'"),
+            (HEADER + "iris,rf,1,0.05,\niris,rf,1,0.06,\n", "line 3: duplicate key"),
+            ("# c\n", "line 2: field larger than field limit"),
+        ],
+        ids=["rule", "duplicate", "header"],
+    )
+    def test_earlier_row_error_comes_before_a_reader_error(self, before, message):
+        # the reader rejects the record after ``before``: the header itself
+        # when ``before`` holds none
+        text = before + 'iris,"rf,2,0.05,\n' + "x" * 140_000 + "\n"
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            ingest_error_table(text)
 
     def test_bad_header_rejected(self):
         with pytest.raises(InputError, match="header"):
@@ -368,7 +385,7 @@ class TestAggregateErrors:
 class TestIngestTimingTable:
     def test_per_hyper_derivation(self):
         table = ingest_timing_table(TIMING_HEADER + "iris,rf,1,10,120,24\n")
-        assert table.records[0].per_hyper_seconds == 5.0
+        assert matrix_from_timings(table, "per_hyper").values[0, 0] == 5.0
 
     def test_zero_combos_rejected(self):
         with pytest.raises(InputError, match="n_hyper_combos"):

@@ -80,29 +80,28 @@ class TestPsrf:
     def test_hand_computed_case(self):
         # two identical chains (1,2,3,4): B = 0, so R-hat = sqrt((n-1)/n)
         r = psrf([[1, 2, 3, 4], [1, 2, 3, 4]])
-        assert r.point_estimate == pytest.approx(math.sqrt(3 / 4), abs=1e-12)
+        assert r == pytest.approx(math.sqrt(3 / 4), abs=1e-12)
 
     def test_shifted_chains_inflate(self):
         r = psrf([[1, 2, 3, 4], [11, 12, 13, 14]])
         # W = 5/3, B/n = means (2.5, 12.5) -> var 50; Var+ = 3/4*5/3 + 50
-        assert r.point_estimate == pytest.approx(math.sqrt((1.25 + 50) / (5 / 3)), abs=1e-12)
+        assert r == pytest.approx(math.sqrt((1.25 + 50) / (5 / 3)), abs=1e-12)
 
     def test_convergent_chains_near_one(self):
         rng = np.random.default_rng(0)
         chains = rng.standard_normal((4, 10_000))
         r = psrf(chains)
-        assert abs(r.point_estimate - 1.0) < 1e-2
+        assert abs(r - 1.0) < 1e-2
 
     def test_constant_chains_undefined(self):
         r = psrf(np.ones((3, 100)))
-        assert not r.defined
-        assert r.point_estimate is None
+        assert r is None
 
     def test_affine_invariance_exact(self):
         rng = np.random.default_rng(1)
         chains = rng.standard_normal((3, 500))
-        base = psrf(chains).point_estimate
-        scaled = psrf(3.0 * chains + 2.0).point_estimate
+        base = psrf(chains)
+        scaled = psrf(3.0 * chains + 2.0)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_split_detects_trend(self):
@@ -111,8 +110,8 @@ class TestPsrf:
         trend = np.linspace(0, 5, 2000)
         rng = np.random.default_rng(3)
         chains = trend[None, :] + 0.1 * rng.standard_normal((4, 2000))
-        assert psrf(chains).point_estimate < 1.05
-        assert psrf(chains, split=True).point_estimate > 1.5
+        assert psrf(chains) < 1.05
+        assert psrf(chains, split=True) > 1.5
 
     def test_input_validation(self):
         with pytest.raises(InputError, match="2-D"):
@@ -314,7 +313,7 @@ class TestDiagnosticReport:
             chains = params[row.parameter]
             expected = sum(geyer_ess_loop(chain) for chain in chains)
             assert row.ess == pytest.approx(expected, rel=1e-12)
-            assert row.r_hat == psrf(chains).point_estimate
+            assert row.r_hat == psrf(chains)
 
     def test_peak_memory_stays_near_the_held_draws(self):
         # the report takes one parameter's chains at a time, not all of them
