@@ -22,6 +22,7 @@ from benchstat.render import render_diagnostics
 GOLDEN = Path(__file__).parent / "golden"
 ERRORS = str(GOLDEN / "errors.csv")
 TIMING = str(GOLDEN / "timing.csv")
+SYNTH_SPEC = str(GOLDEN / "synth-spec.json")
 EXT = {"csv": "csv", "markdown": "md", "json": "json"}
 MCMC = ["--seed", "11", "--chains", "2", "--burn-in", "100", "--adaptation", "100", "--kept", "200"]
 
@@ -53,6 +54,7 @@ def _cases() -> dict:
         ["ppc", "{out}.draws", ERRORS, "--seed", "5", "--n-draws", "200",
          "--scatter", "{out}.scatter.csv", "--out", "{out}.csv"],
     ]
+    cases["synth"] = [["synth", SYNTH_SPEC, "--seed", "3", "--out", "{out}.csv"]]
     return cases
 
 
