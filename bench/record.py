@@ -22,6 +22,10 @@ perfbench's speed-probe kernel on the probe's timer, and the factor is the
 median kernel time over its reference time, as for the workload runs.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
+
+``source_lines`` counts the lines of each ``src/benchstat/*.py`` module and
+of all of them: ``physical`` lines, and ``code`` lines, those that are not
+blank and do not start with ``#`` once stripped (docstrings count as code).
 """
 from __future__ import annotations
 
@@ -88,6 +92,16 @@ def paper_config_run(variant: str) -> dict:
     return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor}
 
 
+def source_lines() -> dict:
+    modules = {}
+    for path in sorted((ROOT / "src" / "benchstat").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        code = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+        modules[path.name] = {"physical": len(lines), "code": len(code)}
+    totals = {key: sum(m[key] for m in modules.values()) for key in ("physical", "code")}
+    return {"modules": modules, **totals}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
@@ -117,6 +131,7 @@ def main(argv=None) -> int:
         "numpy": version("numpy"),
         "runs": runs,
         "paper_config": paper_config,
+        "source_lines": source_lines(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

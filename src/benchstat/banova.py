@@ -106,6 +106,9 @@ def build_model(m: AggregatedMatrix, variant: str = "normal") -> ModelSpec:
     )
 
 
+_PINS = ("fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df")  # McmcConfig's fixed scales
+
+
 @dataclass
 class McmcConfig:
     """Chain layout and optional parameter pins.
@@ -143,7 +146,7 @@ class McmcConfig:
             raise InputError("burn_in and adaptation must be >= 0")
         if self.thinning < 1:
             raise InputError("thinning must be >= 1")
-        for name in ("fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df"):
+        for name in _PINS:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN fails too
                 raise InputError(f"{name} must be > 0, got {value!r}")
@@ -605,8 +608,9 @@ def run_chains(
             "python": platform.python_version(),
         },
     }
-    if cfg.fixed_df is not None:
-        draws.meta["fixed_df"] = cfg.fixed_df
+    for pin in _PINS:
+        if getattr(cfg, pin) is not None:
+            draws.meta[pin] = getattr(cfg, pin)
     return draws
 
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import banova, data, diagnostics, nhst, ranks, render, threshold
 from .errors import BenchstatError, InputError
@@ -156,6 +157,10 @@ def cmd_threshold(input_path, format_, out):
     _emit(render.render_threshold(report, format_), out)
 
 
+# the bayes parameters that apply to saved draws; the others only to sampling
+_LOAD_PARAMETERS = {"input_path", "load_path", "rope", "format_", "out"}
+
+
 @cli.command("bayes")
 @click.argument("input_path")
 @click.option("--variant", type=click.Choice(["normal", "robust"]), default="normal")
@@ -194,6 +199,16 @@ def cmd_bayes(
     **mcmc,
 ):
     """Hierarchical Bayesian ANOVA: ROPE probability matrix plus diagnostics."""
+    if load_path:
+        ctx = click.get_current_context()
+        given = [
+            param.opts[0]
+            for param in ctx.command.params
+            if param.name not in _LOAD_PARAMETERS
+            and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
+        ]
+        if given:
+            raise InputError(f"--load reuses saved draws; sampling options do not apply: {', '.join(given)}")
     header = ""
     matrix = data.aggregate_errors(_load_error_table(input_path))
     if load_path:

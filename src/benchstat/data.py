@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -107,34 +107,26 @@ def _floats(texts) -> np.ndarray:
     return np.fromiter(map(float, texts), float, len(texts))
 
 
-def _codes(names: list, label) -> tuple:
-    """The sorted distinct labels of ``names``, each mapped to its position,
-    and the position of each name's label; ``label`` (``str.strip`` for CSV
-    fields) runs once per distinct name, not once per row."""
+def _codes(names: list) -> tuple:
+    """The sorted distinct stripped names, each mapped to its position, and
+    the position of each name's label; ``str.strip`` runs once per distinct
+    name, not once per row."""
     distinct = set(names)
-    position = {name: n for n, name in enumerate(sorted(set(map(label, distinct))))}
-    code = {name: position[label(name)] for name in distinct}
+    position = {name: n for n, name in enumerate(sorted(set(map(str.strip, distinct))))}
+    code = {name: position[name.strip()] for name in distinct}
     return position, np.fromiter(map(code.__getitem__, names), np.intp, len(names))
-
-
-def _same(name):
-    return name
 
 
 def _in_unit_interval(x: np.ndarray) -> bool:
     return bool(((x >= 0.0) & (x <= 1.0)).all())  # False for NaN
 
 
-def _duplicate_error(keys: list, lines: Optional[list]) -> InputError:
+def _duplicate_error(keys: list, lines: list) -> InputError:
     """The error for the first key in ``keys`` that repeats an earlier one."""
     first = {}
     for n, key in enumerate(keys):
         if key in first:
-            if lines is None:
-                return InputError(f"duplicate key {key}")
-            return InputError(
-                f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first[key]]})"
-            )
+            return InputError(f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first[key]]})")
         first[key] = n
     raise ValueError("no repeated key")
 
@@ -152,39 +144,37 @@ class _RecordTable:
 
     record: type
     headers: tuple  # accepted CSV headers; the first is the one error messages name
-    columns: dict  # value column -> its dtype when built from records (None: inferred)
+    columns: tuple  # the value columns, after dataset, algorithm and subset
 
-    def __init__(self, records: Iterable):
-        records = tuple(records)
-        datasets, d = _codes([r.dataset for r in records], _same)
-        algorithms, a = _codes([r.algorithm for r in records], _same)
-        s = np.array([r.subset - 1 for r in records], dtype=np.intp)
-        values = [
-            np.array([getattr(r, name) for r in records], dtype=dtype)
-            for name, dtype in self.columns.items()
-        ]
-        try:
-            self._build(datasets, algorithms, (d, a, s), values)
-        except _Rejected:
-            keys = [(r.dataset, r.algorithm, r.subset) for r in records]
-            raise _duplicate_error(keys, None) from None
-        self._records = records
+    def __init__(self, rows: list, width: int):
+        """The table of ``rows``, lists of ``width`` CSV fields, every rule
+        checked on whole columns.
 
-    def _build(self, datasets: dict, algorithms: dict, index: tuple, values: list):
-        """Scatter checked columns, one entry per row, into the cube.
-
-        ``datasets`` and ``algorithms`` map each sorted label to its position;
-        ``index`` holds each row's dataset, algorithm and subset position.
-        Raises ``_Rejected`` where two rows share a cell.
+        Raises ``_Rejected``, or ``ValueError`` from a number conversion,
+        where some row breaks a rule.
         """
+        if set(map(len, rows)) - {width}:
+            raise _Rejected
+        fields = reduce(iadd, rows, [])  # one flat list of every field
+        columns = [fields[n::width] for n in range(width)]
+        del fields
+        datasets, d = _codes(columns[0])
+        algorithms, a = _codes(columns[1])
+        try:
+            s = np.fromiter(map(_SUBSET_INDEX.__getitem__, map(str.strip, columns[2])), np.intp, len(columns[2]))
+        except KeyError:  # a subset other than 1 or 2
+            raise _Rejected from None
+        if "" in datasets or "" in algorithms:
+            raise _Rejected
+        values = self._convert(columns)
         self.datasets, self.algorithms = tuple(datasets), tuple(algorithms)
         shape = (len(datasets), len(algorithms), 2)
-        cell = np.ravel_multi_index(index, shape)
+        cell = np.ravel_multi_index((d, a, s), shape)
         order = np.full(math.prod(shape), -1, dtype=np.intp)
         order[cell] = np.arange(len(cell))
         self.order = order.reshape(shape)
         self.present = self.order >= 0
-        if np.count_nonzero(self.present) != len(cell):
+        if np.count_nonzero(self.present) != len(cell):  # two rows share a cell
             raise _Rejected
         self.cubes = {}
         for name, column in zip(self.columns, values):
@@ -194,31 +184,6 @@ class _RecordTable:
             cube[cell] = column
             self.cubes[name] = cube.reshape(shape)
         self._records = None
-
-    @classmethod
-    def _from_rows(cls, rows: list, width: int):
-        """The table of ``rows``, every rule checked on whole columns.
-
-        Raises ``_Rejected``, or ``ValueError`` from a number conversion,
-        where some row breaks a rule.
-        """
-        if set(map(len, rows)) - {width}:
-            raise _Rejected
-        fields = reduce(iadd, rows, [])  # one flat list of every field
-        del rows  # free the row lists before slicing: a lower peak of memory
-        columns = [fields[n::width] for n in range(width)]
-        del fields
-        datasets, d = _codes(columns[0], str.strip)
-        algorithms, a = _codes(columns[1], str.strip)
-        try:
-            s = np.fromiter(map(_SUBSET_INDEX.__getitem__, map(str.strip, columns[2])), np.intp, len(columns[2]))
-        except KeyError:  # a subset other than 1 or 2
-            raise _Rejected from None
-        if "" in datasets or "" in algorithms:
-            raise _Rejected
-        table = cls.__new__(cls)
-        table._build(datasets, algorithms, (d, a, s), cls._convert(columns))
-        return table
 
     @classmethod
     def _row_error(cls, rows: list, lines: list, width: int):
@@ -285,7 +250,7 @@ class ErrorTable(_RecordTable):
 
     record = ErrorRecord
     headers = (ERROR_HEADER, ERROR_HEADER[:4])
-    columns = {"test_error": float, "cv_error": float}
+    columns = ("test_error", "cv_error")
     _row_values = staticmethod(_error_values)
 
     @staticmethod
@@ -308,7 +273,7 @@ class TimingTable(_RecordTable):
 
     record = TimingRecord
     headers = (TIMING_HEADER,)
-    columns = {"train_test_seconds": float, "hyper_search_seconds": float, "n_hyper_combos": None}
+    columns = ("train_test_seconds", "hyper_search_seconds", "n_hyper_combos")
     _row_values = staticmethod(_timing_values)
 
     @staticmethod
@@ -360,8 +325,9 @@ def _lines(source) -> list:
     """The lines of ``source`` as the csv reader reads them.
 
     A leading byte-order mark is dropped and '#' comment lines (e.g. the
-    synth-spec echo) are blanked; the reader skips blank lines, so its
-    ``line_num`` stays the file line.
+    synth-spec echo) are blanked where a record starts, not inside a quoted
+    field; the reader skips blank lines, so its ``line_num`` stays the file
+    line.
     """
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
@@ -375,7 +341,31 @@ def _lines(source) -> list:
     lines = list(stream)
     if lines and lines[0].startswith("\ufeff"):
         lines[0] = lines[0][1:]
-    return ["\n" if "#" in line and line.lstrip().startswith("#") else line for line in lines]
+    # no record spans lines before the first '"', so each line there starts one
+    quote = len(lines)
+    if '"' in "".join(lines):  # one scan of the text, not one per line
+        quote = next(n for n, line in enumerate(lines) if '"' in line)
+    head = ["\n" if "#" in line and line.lstrip().startswith("#") else line for line in lines[:quote]]
+    return head + _blank_comments(lines[quote:])
+
+
+def _blank_comments(lines: list) -> list:
+    """``lines``, from the start of a record on, with each '#' line blanked
+    where a csv reader of them starts a record."""
+    blanked, start = [], 0  # start: the index of the line the next record starts on
+
+    def feed():
+        for n, line in enumerate(lines):
+            blanked.append("\n" if n == start and line.lstrip().startswith("#") else line)
+            yield blanked[-1]
+
+    reader = csv.reader(feed())
+    try:
+        for _ in reader:
+            start = reader.line_num
+    except csv.Error:
+        pass  # each read of the table stops at this record with the same error
+    return blanked + lines[len(blanked) :]
 
 
 def _numbered_rows(lines: list) -> tuple:
@@ -414,7 +404,7 @@ def _ingest(source, table: type):
         header = [h.strip() for h in header]
         if header not in table.headers:
             raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
-        return table._from_rows(list(rows), len(header))
+        return table(list(rows), len(header))
     except (_Rejected, ValueError, csv.Error):
         pass  # leaving the handler frees the columns before the second read
     # an error in the rows before a record the reader rejects comes first,
@@ -491,6 +481,15 @@ class SynthSpec:
     cv_noise_sd: float = 0.0
 
     def __post_init__(self):
+        numbers = {"beta": self.beta, "noise_sd": self.noise_sd, "cv_noise_sd": self.cv_noise_sd}
+        for kind, effects in (("alpha", self.alpha), ("delta", self.delta)):
+            for name, effect in effects.items():
+                if not name or name != name.strip():  # a table's names are stripped fields
+                    raise InputError(f"{kind} name {name!r} is empty or has whitespace around it")
+                numbers[f"{kind}[{name!r}]"] = effect
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise InputError(f"{key} must be finite, got {value}")
         if self.noise_sd < 0:
             raise InputError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.cv_noise_sd < 0:
@@ -519,23 +518,19 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec, seed: int) -> ErrorTable:
     """Draw a synthetic error table from the additive model; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     algorithms = sorted(spec.alpha)
-    datasets = sorted(spec.delta)
-    for dataset in datasets:
+    for dataset in sorted(spec.delta):
         for algorithm in algorithms:
             mean = spec.beta + spec.alpha[algorithm] + spec.delta[dataset]
-            for subset in (1, 2):
+            for subset in ("1", "2"):
                 noise = rng.normal(0.0, spec.noise_sd) if spec.noise_sd > 0 else 0.0
                 test_error = float(np.clip(mean + noise, 0.0, 1.0))
-                cv_noise = (
-                    rng.normal(0.0, spec.cv_noise_sd) if spec.cv_noise_sd > 0 else 0.0
-                )
+                cv_noise = rng.normal(0.0, spec.cv_noise_sd) if spec.cv_noise_sd > 0 else 0.0
                 cv_error = float(np.clip(test_error + cv_noise, 0.0, 1.0))
-                records.append(
-                    ErrorRecord(dataset, algorithm, subset, test_error, cv_error)
-                )
-    return ErrorTable(records)
+                # repr reads back as the same float
+                rows.append([dataset, algorithm, subset, repr(test_error), repr(cv_error)])
+    return ErrorTable(rows, len(ERROR_HEADER))
 
 
 def _csv_field(text: str) -> str:

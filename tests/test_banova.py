@@ -831,6 +831,19 @@ class TestPersistence:
         assert [list(chain) for chain in draws.meta["slice"]] == [["sigma_d"], ["sigma_d"]]
         assert all(list(chain["sigma_d"]) == ["proposals_per_draw"] for chain in draws.meta["slice"])
 
+    def test_pins_survive_save_and_load(self, tmp_path):
+        rng = np.random.default_rng(6)
+        m, _ = synthetic_matrix(rng, 3, 6)
+        spec = build_model(m, "robust")
+        pins = {"fixed_sigma0": spec.y_sd, "fixed_sigma_a": 0.03, "fixed_sigma_d": 0.02, "fixed_df": 5.0}
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5, **pins)
+        path = tmp_path / "draws.bin"
+        save_draws(run_chains(spec, m, cfg, seed=2), path)
+        meta = load_draws(path).meta
+        assert {key: meta[key] for key in pins} == pins
+        unpinned = run_chains(spec, m, McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5), seed=2)
+        assert not [key for key in unpinned.meta if key.startswith("fixed_")]
+
 
 class TestRobustVariant:
     def test_df_pinned_large_matches_normal(self):

@@ -186,6 +186,22 @@ class TestBayesCommand:
         assert main(["bayes", synth_csv, "--load", str(GOLDEN / "legacy-v1.draws")]) == 2
         assert capsys.readouterr().err == "error: draws and data matrix label mismatch\n"
 
+    def test_load_with_sampling_options_exit_2(self, tmp_path, capsys):
+        save = tmp_path / "x.bin"
+        argv = ["bayes", str(GOLDEN / "errors.csv"), "--load", str(GOLDEN / "legacy-v1.draws"),
+                "--variant", "robust", "--save", str(save), "--kept", "3"]
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []  # no x.bin
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --load reuses saved draws; sampling options do not apply: --variant, --kept, --save\n"
+        for option in (["--variant", "normal"], ["--chains", "4"], ["--burn-in", "0"], ["--adaptation", "0"],
+                       ["--kept", "5"], ["--thinning", "1"], ["--paper-config"], ["--config", "c.txt"],
+                       ["--seed", "1"], ["--save", str(save)], ["--threads", "1"]):
+            assert main(argv[:4] + option) == 2
+            assert capsys.readouterr().err.endswith(f"do not apply: {option[0]}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "mcmc.cfg"
         cfg.write_text("# settings\nchains=3\nburn_in=50\nadaptation=50\nkept=80\n")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from benchstat import (
     ErrorRecord,
-    ErrorTable,
     InputError,
     SynthSpec,
     TimingRecord,
@@ -138,6 +137,21 @@ class TestIngestErrorTable:
             (r.dataset, r.algorithm, r.subset, r.test_error, r.cv_error) for r in table
         ]
 
+    def test_hash_line_inside_a_quoted_field_round_trips(self):
+        spec = SynthSpec(beta=0.2, alpha={"rf": 0.0}, delta={"a\n#b": 0.0, "z": 0.1})
+        table = generate_synthetic(spec, seed=0)
+        assert table.datasets == ("a\n#b", "z")
+        assert ingest_error_table(error_table_to_csv(table)).records == table.records
+
+    @pytest.mark.parametrize(
+        "rows, dataset",
+        [('"x\ny",rf,1,0.1,\n# say "hi\n', "x\ny"), ('d"e,rf,1,0.1,\n# c\n', 'd"e')],
+        ids=["quote in a comment after a quoted line break", "quote inside an unquoted field"],
+    )
+    def test_comment_lines_where_a_record_starts(self, rows, dataset):
+        table = ingest_error_table(HEADER + rows + "z,rf,1,0.2,\n")
+        assert table.datasets == (dataset, "z") and len(table) == 2
+
 
 # schema -> (header, good row maker, malformed rows, ingester)
 SCHEMAS = {
@@ -214,10 +228,16 @@ def timing_values(row):
 def reference_ingest(text, record, values):
     """Row-at-a-time parse: each row through the per-row rule as it is
     read, then the first repeated key.  Assumes a valid header."""
-    lines = ("\n" if line.lstrip().startswith("#") else line for line in io.StringIO(text))
-    reader = csv.reader(lines)
+    source, start = list(io.StringIO(text)), 0  # start: the line the next record starts on
+
+    def lines():  # a '#' line is a comment where a record starts
+        for n, line in enumerate(source):
+            yield "\n" if n == start and line.lstrip().startswith("#") else line
+
+    reader = csv.reader(lines())
     width, parsed = None, []
     for row in reader:
+        start = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if width is None:
@@ -244,8 +264,10 @@ def reference_ingest(text, record, values):
 
 
 # Quoted identifiers holding a delimiter, a quote or a line break of
-# str.splitlines; the blank ones strip to "".
-QUOTED_DATASETS = list(map(quoted, ["d,1", 'd"q', "d\n1", "d\r\n2", "d\r1", "\x0cd", "d\u2028", "d\x1c\x85"]))
+# str.splitlines, or a line that starts with '#'; the blank ones strip to "".
+QUOTED_DATASETS = list(
+    map(quoted, ["d,1", 'd"q', "d\n1", "d\r\n2", "d\r1", "\x0cd", "d\u2028", "d\x1c\x85", "a\n#b"])
+)
 QUOTED_ALGORITHMS = list(map(quoted, ["a\nb", "c,", "a\u2028b"]))
 QUOTED_BLANKS = list(map(quoted, ["\x0c", "\u2028 ", "\r\n"]))
 
@@ -253,7 +275,7 @@ QUOTED_BLANKS = list(map(quoted, ["\x0c", "\u2028 ", "\r\n"]))
 FIELDS = {
     "error": (
         (HEADER.strip(), "dataset,algorithm,subset,test_error"),
-        [["d1", " d1 ", "d2", "d3", *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
+        [["d1", " d1 ", "d2", "d3", 'd"e', *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
          ["0.5", " 0.25 ", "0", "1", "-0.0", "1e-3"], ["", " ", "0.1", "1", "0.0"]],
         [["", " ", *QUOTED_BLANKS], ["", "  ", *QUOTED_BLANKS], ["3", "0", "x", ""],
          ["abc", "1.5", "nan", "inf", "1_0", ""], ["abc", "1.5", "nan", "-inf", "1_0"]],
@@ -263,7 +285,7 @@ FIELDS = {
     ),
     "timing": (
         (TIMING_HEADER.strip(),),
-        [["d1", " d1 ", "d2", "d3", *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
+        [["d1", " d1 ", "d2", "d3", 'd"e', *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
          ["1.5", " 0 ", "1_0", "2e3"], ["2", "0.5", " 7 "], ["1", "24", " 3 ", "1_0"]],
         [["", " ", *QUOTED_BLANKS], ["", "  ", *QUOTED_BLANKS], ["3", "0", "x", ""],
          ["abc", "nan", "inf", "-1", ""], ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan"]],
@@ -321,7 +343,7 @@ def test_valid_tables_are_never_walked_row_by_row(monkeypatch):
     monkeypatch.setattr("benchstat.data._numbered_rows", walk)
     monkeypatch.setattr("benchstat.data._RecordTable._row_error", classmethod(walk))
     golden = Path(__file__).parent / "golden"
-    spec = SynthSpec(beta=0.2, alpha={"#a": 0.0, "b": 0.05}, delta={"#d1": 0.0, " #d2": 0.1}, noise_sd=0.01)
+    spec = SynthSpec(beta=0.2, alpha={"#a": 0.0, "b": 0.05}, delta={"#d1": 0.0, "#d2": 0.1}, noise_sd=0.01)
     tables = {
         "golden errors": ingest_error_table((golden / "errors.csv").read_text(encoding="utf-8")),
         "golden timing": ingest_timing_table((golden / "timing.csv").read_text(encoding="utf-8")),
@@ -355,16 +377,9 @@ class TestAggregateErrors:
     @given(st.permutations(range(6)))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariant(self, order):
-        records = [
-            ErrorRecord("d1", "a", 1, 0.1),
-            ErrorRecord("d1", "a", 2, 0.2),
-            ErrorRecord("d1", "b", 1, 0.3),
-            ErrorRecord("d1", "b", 2, 0.4),
-            ErrorRecord("d2", "a", 1, 0.5),
-            ErrorRecord("d2", "a", 2, 0.6),
-        ]
-        base = aggregate_errors(ErrorTable(records))
-        shuffled = aggregate_errors(ErrorTable([records[i] for i in order]))
+        rows = ["d1,a,1,0.1,", "d1,a,2,0.2,", "d1,b,1,0.3,", "d1,b,2,0.4,", "d2,a,1,0.5,", "d2,a,2,0.6,"]
+        base = aggregate_errors(ingest_error_table(HEADER + "\n".join(rows)))
+        shuffled = aggregate_errors(ingest_error_table(HEADER + "\n".join(rows[i] for i in order)))
         assert base.algorithms == shuffled.algorithms
         assert base.datasets == shuffled.datasets
         np.testing.assert_array_equal(base.values, shuffled.values)
@@ -375,9 +390,7 @@ class TestAggregateErrors:
     )
     @settings(max_examples=100, deadline=None)
     def test_cell_is_exact_mean(self, e1, e2):
-        table = ErrorTable(
-            [ErrorRecord("d", "a", 1, e1), ErrorRecord("d", "a", 2, e2)]
-        )
+        table = ingest_error_table(HEADER + f"d,a,1,{e1!r},\nd,a,2,{e2!r},\n")
         m = aggregate_errors(table)
         assert m.values[0, 0] == (e1 + e2) / 2.0
 
@@ -465,6 +478,29 @@ class TestGenerateSynthetic:
     def test_negative_noise_rejected(self):
         with pytest.raises(InputError):
             SynthSpec(beta=0.2, alpha={"a": 0.0}, delta={"d": 0.0}, noise_sd=-1.0)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"alpha": {"": 0.0}}, "alpha name '' is empty or has whitespace around it"),
+            ({"delta": {"d ": 0.0}}, "delta name 'd ' is empty or has whitespace around it"),
+            ({"delta": {"\u2028d": 0.0}}, "delta name '\\u2028d' is empty or has whitespace around it"),
+            ({"beta": float("nan")}, "beta must be finite, got nan"),
+            ({"alpha": {"a": float("inf")}}, "alpha['a'] must be finite, got inf"),
+            ({"noise_sd": float("inf")}, "noise_sd must be finite, got inf"),
+            ({"cv_noise_sd": float("nan")}, "cv_noise_sd must be finite, got nan"),
+        ],
+        ids=["empty name", "padded name", "line-separator padding", "NaN beta", "infinite effect",
+             "infinite noise", "NaN CV noise"],
+    )
+    def test_names_and_numbers_a_table_cannot_hold_rejected(self, changes, message):
+        fields = {"beta": 0.2, "alpha": {"a": 0.0}, "delta": {"d": 0.0}, **changes}
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            SynthSpec(**fields)
+
+    def test_spec_json_with_nan_rejected(self):
+        with pytest.raises(InputError, match="^beta must be finite"):
+            SynthSpec.from_json('{"beta": NaN, "alpha": {"a": 0}, "delta": {"d": 0}}')
 
     def test_csv_roundtrip(self):
         spec = SynthSpec(

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from benchstat import (
-    ErrorRecord,
-    ErrorTable,
     SynthSpec,
     aggregate_errors,
     cv_deltas,
     generate_synthetic,
+    ingest_error_table,
     irrelevance_threshold,
     resample_deltas,
     top_k_algorithms,
@@ -57,13 +56,16 @@ class TestTopK:
         assert sum(map(len, top3.values())) <= sum(map(len, top_all.values()))
 
 
+HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
+
+
 def two_subset_table(rows):
-    """rows: (dataset, algorithm, e1, e2, cv1, cv2)."""
-    records = []
+    """rows: (dataset, algorithm, e1, e2, cv1, cv2); a cv of None is a blank field."""
+    lines = [HEADER]
     for dataset, algorithm, e1, e2, cv1, cv2 in rows:
-        records.append(ErrorRecord(dataset, algorithm, 1, e1, cv1))
-        records.append(ErrorRecord(dataset, algorithm, 2, e2, cv2))
-    return ErrorTable(records)
+        for subset, error, cv in ((1, e1, cv1), (2, e2, cv2)):
+            lines.append(f"{dataset},{algorithm},{subset},{error!r},{'' if cv is None else repr(cv)}\n")
+    return ingest_error_table("".join(lines))
 
 
 class TestDeltas:
@@ -76,7 +78,7 @@ class TestDeltas:
         assert resample_deltas(table, {"d": {"a"}}) == [0.0]
 
     def test_resample_skips_missing_subset(self):
-        table = ErrorTable([ErrorRecord("d", "a", 1, 0.1)])
+        table = ingest_error_table(HEADER + "d,a,1,0.1,\n")
         with pytest.warns(UserWarning, match="missing subset"):
             assert resample_deltas(table, {"d": {"a"}}) == []
 
