@@ -322,13 +322,7 @@ class AggregatedMatrix:
 
 
 def _lines(source) -> list:
-    """The lines of ``source`` as the csv reader reads them.
-
-    A leading byte-order mark is dropped and '#' comment lines (e.g. the
-    synth-spec echo) are blanked where a record starts, not inside a quoted
-    field; the reader skips blank lines, so its ``line_num`` stays the file
-    line.
-    """
+    """The lines of ``source``, a leading byte-order mark dropped."""
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
             source = source.decode("utf-8")
@@ -341,48 +335,47 @@ def _lines(source) -> list:
     lines = list(stream)
     if lines and lines[0].startswith("\ufeff"):
         lines[0] = lines[0][1:]
-    # no record spans lines before the first '"', so each line there starts one
-    quote = len(lines)
-    if '"' in "".join(lines):  # one scan of the text, not one per line
-        quote = next(n for n, line in enumerate(lines) if '"' in line)
-    head = ["\n" if "#" in line and line.lstrip().startswith("#") else line for line in lines[:quote]]
-    return head + _blank_comments(lines[quote:])
+    return lines
 
 
-def _blank_comments(lines: list) -> list:
-    """``lines``, from the start of a record on, with each '#' line blanked
-    where a csv reader of them starts a record."""
-    blanked, start = [], 0  # start: the index of the line the next record starts on
+def _records(lines: list, ends: Optional[list] = None):
+    """The csv reader's nonblank records of ``lines``; where ``ends`` is a
+    list, the file line each record ends on is appended to it.
 
-    def feed():
-        for n, line in enumerate(lines):
-            blanked.append("\n" if n == start and line.lstrip().startswith("#") else line)
-            yield blanked[-1]
+    A '#' line (e.g. the synth-spec echo) is a comment where a record starts,
+    not inside a quoted field; the reader reads it as a blank line, so its
+    ``line_num`` stays the file line.  A record the reader rejects raises
+    ``csv.Error`` naming the line it starts on.
+    """
+    start = 0  # the line_num at which the next record starts
+
+    def feed():  # the reader asks for each line once it has read line_num lines
+        for line in lines:
+            yield "\n" if "#" in line and reader.line_num == start and line.lstrip().startswith("#") else line
 
     reader = csv.reader(feed())
     try:
-        for _ in reader:
+        for row in reader:
             start = reader.line_num
-    except csv.Error:
-        pass  # each read of the table stops at this record with the same error
-    return blanked + lines[len(blanked) :]
+            if len(row) > 1 or row and row[0].strip():
+                if ends is not None:
+                    ends.append(start)
+                yield row
+    except csv.Error as exc:
+        raise csv.Error(f"line {start + 1}: {exc}") from None
 
 
 def _numbered_rows(lines: list) -> tuple:
     """The rows after the header, the file line each ends on, and the error
-    for a record the reader rejects, header or row, naming the line it starts
-    on (None if it rejects none; the rows then stop before that record): a
-    second read of ``lines``, made only to name the line of an error."""
-    reader = csv.reader(lines)
-    rows, numbers, start = [], [], 1
+    for a record the reader rejects, header or row (None if it rejects none;
+    the rows then stop before that record): a second read of ``lines``, made
+    only to name the line of an error."""
+    rows, numbers = [], []
     try:
-        for row in reader:
-            if len(row) > 1 or row and row[0].strip():  # not blank, as in _ingest
-                rows.append(row)
-                numbers.append(reader.line_num)
-            start = reader.line_num + 1
+        for row in _records(lines, numbers):
+            rows.append(row)
     except csv.Error as exc:
-        return rows[1:], numbers[1:], InputError(f"line {start}: {exc}")
+        return rows[1:], numbers[1:], InputError(str(exc))
     return rows[1:], numbers[1:], None
 
 
@@ -395,16 +388,16 @@ def _ingest(source, table: type):
     constructor's range checks; row errors come before duplicate keys.
     """
     lines = _lines(source)
-    rows = (row for row in csv.reader(lines) if len(row) > 1 or row and row[0].strip())
+    records = _records(lines)
     header = []  # stays empty where the reader rejects the header
     try:
-        header = next(rows, None)
+        header = next(records, None)
         if header is None:
             raise InputError("empty input: missing header")
         header = [h.strip() for h in header]
         if header not in table.headers:
             raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
-        return table(list(rows), len(header))
+        return table(list(records), len(header))
     except (_Rejected, ValueError, csv.Error):
         pass  # leaving the handler frees the columns before the second read
     # an error in the rows before a record the reader rejects comes first,
@@ -496,6 +489,10 @@ class SynthSpec:
             raise InputError(f"cv_noise_sd must be >= 0, got {self.cv_noise_sd}")
         if not self.alpha or not self.delta:
             raise InputError("alpha and delta must be nonempty")
+        for pick in (min, max):  # float addition is monotone: these bound every cell mean
+            mean = self.beta + pick(self.alpha.values()) + pick(self.delta.values())
+            if not math.isfinite(mean):
+                raise InputError(f"beta + alpha + delta must be finite, got {mean}")
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
@@ -536,7 +533,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> ErrorTable:
 def _csv_field(text: str) -> str:
     """One CSV field, quoted where csv needs it and where it starts with '#',
     which the reader would otherwise take for a comment line."""
-    if text.lstrip().startswith("#") or any(c in text for c in ',"\r\n'):
+    if text.startswith("#") or any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -489,9 +489,11 @@ class TestGenerateSynthetic:
             ({"alpha": {"a": float("inf")}}, "alpha['a'] must be finite, got inf"),
             ({"noise_sd": float("inf")}, "noise_sd must be finite, got inf"),
             ({"cv_noise_sd": float("nan")}, "cv_noise_sd must be finite, got nan"),
+            ({"beta": 1e308, "alpha": {"a": 1e308}, "noise_sd": 1e308}, "beta + alpha + delta must be finite, got inf"),
+            ({"beta": -1e308, "alpha": {"a": -1e308, "b": 1e308}}, "beta + alpha + delta must be finite, got -inf"),
         ],
         ids=["empty name", "padded name", "line-separator padding", "NaN beta", "infinite effect",
-             "infinite noise", "NaN CV noise"],
+             "infinite noise", "NaN CV noise", "overflowing mean", "overflowing smallest mean"],
     )
     def test_names_and_numbers_a_table_cannot_hold_rejected(self, changes, message):
         fields = {"beta": 0.2, "alpha": {"a": 0.0}, "delta": {"d": 0.0}, **changes}
