@@ -211,12 +211,27 @@ class PosteriorDraws:
         if self.algorithms != m.algorithms or self.datasets != m.datasets:
             raise InputError("draws and data matrix label mismatch")
 
+    def check_source(self, m: AggregatedMatrix):
+        """Raise InputError unless ``m`` has these draws' labels, in order, and
+        the digest of the matrix they were sampled from where they record one."""
+        self.check_labels(m)
+        digest = self.meta.get("data_sha256")
+        if digest is not None and digest != _digest(m):
+            raise InputError("draws and data matrix value mismatch")
+
     def scalar_chains(self):
         """(name, (n_chains, n) view of ``block``) for every monitored scalar
         parameter, in column order; a normal block has no df column to pair."""
         names = ["beta", *(f"alpha[{a}]" for a in self.algorithms),
                  *(f"delta[{d}]" for d in self.datasets), "sigma0", "sigma_a", "sigma_d", "df"]
         return zip(names, self.block.swapaxes(0, 1))
+
+
+def _digest(m: AggregatedMatrix) -> str:
+    """SHA-256 of ``m``'s mask and present values, in its label order."""
+    import hashlib  # imported here, as only sampling and reading draws need it
+
+    return hashlib.sha256(m.mask.tobytes() + m.values[m.mask].astype("<f8").tobytes()).hexdigest()
 
 
 def _truncated_gamma(rng, shape: float, rate: float, lo: float, hi: float) -> float:
@@ -540,8 +555,9 @@ def run_chains(
     ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
     shared block; where ``fork`` is unavailable the chains run one after
     another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
-    every sampled sigma_a, sigma_d and df, and ``meta["versions"]`` the
-    benchstat, numpy and Python versions that drew them.
+    every sampled sigma_a, sigma_d and df, ``meta["versions"]`` the
+    benchstat, numpy and Python versions that drew them, and
+    ``meta["data_sha256"]`` the digest of ``data``.
     """
     if cfg is None:
         cfg = McmcConfig()
@@ -599,6 +615,7 @@ def run_chains(
         "kept": cfg.kept,
         "chains": cfg.chains,
         "seed": seed,
+        "data_sha256": _digest(data),
         "slice": counters,
         # numpy may change Generator streams between releases, so a seed
         # reproduces these draws only under the same versions
@@ -632,7 +649,7 @@ def pairwise_difference_draws(p: PosteriorDraws, i: str, j: str) -> np.ndarray:
 
 def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMatrix:
     """Fraction of all chains' draws with |alpha_i - alpha_j| inside the ROPE."""
-    if half_width <= 0:
+    if not half_width > 0:  # NaN too
         raise InputError(f"half_width must be positive, got {half_width}")
     k = len(p.algorithms)
     values = np.full((k, k), np.nan)

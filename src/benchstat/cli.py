@@ -47,6 +47,8 @@ def _nonempty(table):
 
 def _friedman_then_nemenyi(r, alpha: float, format_: str) -> list:
     """Friedman report, then the Nemenyi pairs if it rejects at ``alpha``."""
+    if not 0 < alpha < 1:  # NaN too
+        raise InputError(f"--alpha must be in (0, 1), got {alpha}")
     result = nhst.friedman_test(r)
     if result.p_value < alpha:
         post_hoc = render.render_pairwise(nhst.nemenyi_pairwise(r), format_, alpha=alpha)
@@ -199,6 +201,8 @@ def cmd_bayes(
     **mcmc,
 ):
     """Hierarchical Bayesian ANOVA: ROPE probability matrix plus diagnostics."""
+    if not rope > 0:  # NaN too; before anything is read, sampled or written
+        raise InputError(f"--rope must be > 0, got {rope}")
     if load_path:
         ctx = click.get_current_context()
         given = [
@@ -213,7 +217,7 @@ def cmd_bayes(
     matrix = data.aggregate_errors(_load_error_table(input_path))
     if load_path:
         draws = banova.load_draws(load_path)
-        draws.check_labels(matrix)
+        draws.check_source(matrix)
     else:
         spec = banova.build_model(matrix, variant)
         base = banova.McmcConfig.paper() if paper_config else banova.McmcConfig()
@@ -248,6 +252,7 @@ def cmd_ppc(draws_path, input_path, n_draws, seed, scatter, out):
     draws = banova.load_draws(draws_path)
     table = _load_error_table(input_path)
     matrix = data.aggregate_errors(table)
+    draws.check_source(matrix)
     seed, header = _resolve_seed(seed)
     result = diagnostics.posterior_predictive_check(draws, matrix, n_draws, seed=seed)
     if scatter:

@@ -16,12 +16,12 @@ a cell without a record, and in ``cv_error`` where no CV estimate was
 recorded.  Every analysis of the table is an array operation on these cubes.
 The records themselves are built, in input order, only when asked for.
 
-Ingestion reads the rows in one ``csv.reader`` pass, converts each CSV
-column once and checks every rule on whole columns; a valid table is never
-walked row by row.  File lines are found only once a check fails: then the
-same lines are read again, counting lines, and the rows are walked in order
-through the per-row rule, so that the error names the first offending row,
-its file line and the rule it broke, as a row-at-a-time parser would.
+Ingestion reads the source in one ``csv.reader`` pass, converts each CSV
+column once and states every rule once, as a mask over the rows built from
+whole columns; a valid table is never walked row by row.  The first row with
+a mask set, and the first rule set in that row, give the error, so it names
+the row, its file line and the rule it broke, as a row-at-a-time parser
+would.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import iadd
 from typing import Mapping, Optional
 
@@ -39,14 +40,7 @@ import numpy as np
 from .errors import InputError
 
 ERROR_HEADER = ["dataset", "algorithm", "subset", "test_error", "cv_error"]
-TIMING_HEADER = [
-    "dataset",
-    "algorithm",
-    "subset",
-    "train_test_seconds",
-    "hyper_search_seconds",
-    "n_hyper_combos",
-]
+TIMING_HEADER = ERROR_HEADER[:3] + ["train_test_seconds", "hyper_search_seconds", "n_hyper_combos"]
 
 
 @dataclass(frozen=True)
@@ -91,20 +85,45 @@ class TimingRecord:
             raise InputError(f"n_hyper_combos must be >= 1, got {self.n_hyper_combos}")
 
 
-class _Rejected(Exception):
-    """Some row breaks a rule; the per-row walk finds which."""
+class RowError(InputError):
+    """A rule broken by row ``row`` (an index into the rows given) of a
+    table; for a repeated key, ``first`` is the row that holds the key first."""
+
+    def __init__(self, row: int, rule: str, first: Optional[int] = None):
+        self.row, self.rule, self.first = row, rule, first
+        super().__init__(self.naming("rows[{}]".format))
+
+    def naming(self, place) -> str:
+        """The message, each row named by ``place(row)``."""
+        seen = "" if self.first is None else f" (first seen at {place(self.first)})"
+        return f"{place(self.row)}: {self.rule}{seen}"
 
 
-def _number(kind, text: str, column: str):
+def _column(kind, texts: list, fill) -> tuple:
+    """The array of ``kind`` of each text, ``fill`` where ``kind`` rejects the
+    text, and the mask of the texts it rejects.  ``kind`` runs over the whole
+    column, and one text at a time only where that raises, or where an int
+    is past int64's range (the array is then of objects)."""
     try:
-        return kind(text)  # float and int ignore surrounding whitespace
-    except ValueError:
-        raise InputError(f"malformed {column} value {text.strip()!r}") from None
+        return np.fromiter(map(kind, texts), kind, len(texts)), np.zeros(len(texts), bool)
+    except (ValueError, OverflowError):
+        values, bad = _each(kind, texts, fill)
+        return np.array(values), bad
 
 
-def _floats(texts) -> np.ndarray:
-    # raises ValueError where float(text) does, like _number
-    return np.fromiter(map(float, texts), float, len(texts))
+def _each(kind, texts: list, fill) -> tuple:
+    values, bad = [], np.zeros(len(texts), bool)
+    for n, text in enumerate(texts):
+        try:
+            values.append(kind(text))  # float and int ignore surrounding whitespace
+        except ValueError:
+            values.append(fill)
+            bad[n] = True
+    return values, bad
+
+
+def _malformed(column: str, texts: list):
+    return lambda r: f"malformed {column} value {texts[r].strip()!r}"
 
 
 def _codes(names: list) -> tuple:
@@ -117,22 +136,7 @@ def _codes(names: list) -> tuple:
     return position, np.fromiter(map(code.__getitem__, names), np.intp, len(names))
 
 
-def _in_unit_interval(x: np.ndarray) -> bool:
-    return bool(((x >= 0.0) & (x <= 1.0)).all())  # False for NaN
-
-
-def _duplicate_error(keys: list, lines: list) -> InputError:
-    """The error for the first key in ``keys`` that repeats an earlier one."""
-    first = {}
-    for n, key in enumerate(keys):
-        if key in first:
-            return InputError(f"line {lines[n]}: duplicate key {key} (first seen at line {lines[first[key]]})")
-        first[key] = n
-    raise ValueError("no repeated key")
-
-
 _SUBSET_INDEX = {"1": 0, "2": 1}
-_NAN_IF_BLANK = {"": "nan"}  # an empty cv_error field: no CV estimate
 
 
 class _RecordTable:
@@ -147,26 +151,35 @@ class _RecordTable:
     columns: tuple  # the value columns, after dataset, algorithm and subset
 
     def __init__(self, rows: list, width: int):
-        """The table of ``rows``, lists of ``width`` CSV fields, every rule
-        checked on whole columns.
+        """The table of ``rows``, lists of ``width`` CSV fields.
 
-        Raises ``_Rejected``, or ``ValueError`` from a number conversion,
-        where some row breaks a rule.
+        Each rule is a mask over the rows, in the order a row-at-a-time
+        parser checks them: the field count, an empty identifier, the subset,
+        then the table's own rules, and last, only where no row breaks one, a
+        repeated key.  The first row that breaks a rule raises a
+        :class:`RowError` naming it and the first rule it breaks.
         """
-        if set(map(len, rows)) - {width}:
-            raise _Rejected
+        counts = np.fromiter(map(len, rows), np.intp, len(rows))
+        if (counts != width).any():  # pad or cut for the column split alone
+            rows = [(row + [""] * width)[:width] for row in rows]
         fields = reduce(iadd, rows, [])  # one flat list of every field
         columns = [fields[n::width] for n in range(width)]
         del fields
         datasets, d = _codes(columns[0])
         algorithms, a = _codes(columns[1])
-        try:
-            s = np.fromiter(map(_SUBSET_INDEX.__getitem__, map(str.strip, columns[2])), np.intp, len(columns[2]))
-        except KeyError:  # a subset other than 1 or 2
-            raise _Rejected from None
-        if "" in datasets or "" in algorithms:
-            raise _Rejected
-        values = self._convert(columns)
+        subsets = list(map(str.strip, columns[2]))
+        s = np.fromiter(map(_SUBSET_INDEX.get, subsets, repeat(2)), np.intp, len(subsets))  # 2: neither
+        values, rules = self._convert(columns)
+        rules = [
+            (counts != width, lambda r: f"expected {width} fields, got {counts[r]}"),
+            ((d == datasets.get("", -1)) | (a == algorithms.get("", -1)), lambda r: "empty identifier"),
+            (s == 2, lambda r: f"unknown subset value {subsets[r]!r}"),
+            *rules,
+        ]
+        broken = reduce(np.logical_or, (mask for mask, _ in rules))
+        if broken.any():
+            r = int(broken.argmax())
+            raise RowError(r, next(rule(r) for mask, rule in rules if mask[r]))
         self.datasets, self.algorithms = tuple(datasets), tuple(algorithms)
         shape = (len(datasets), len(algorithms), 2)
         cell = np.ravel_multi_index((d, a, s), shape)
@@ -175,7 +188,11 @@ class _RecordTable:
         self.order = order.reshape(shape)
         self.present = self.order >= 0
         if np.count_nonzero(self.present) != len(cell):  # two rows share a cell
-            raise _Rejected
+            repeated = np.ones(len(cell), bool)
+            repeated[np.unique(cell, return_index=True)[1]] = False  # each cell's first row
+            r = int(repeated.argmax())
+            key = (self.datasets[d[r]], self.algorithms[a[r]], int(s[r]) + 1)
+            raise RowError(r, f"duplicate key {key}", int((cell == cell[r]).argmax()))
         self.cubes = {}
         for name, column in zip(self.columns, values):
             cube = np.zeros(order.shape, dtype=column.dtype)
@@ -184,22 +201,6 @@ class _RecordTable:
             cube[cell] = column
             self.cubes[name] = cube.reshape(shape)
         self._records = None
-
-    @classmethod
-    def _row_error(cls, rows: list, lines: list, width: int):
-        """Raise the per-row rule's error for the first row that breaks it."""
-        for row, line in zip(rows, lines):
-            try:
-                if len(row) != width:
-                    raise InputError(f"expected {width} fields, got {len(row)}")
-                dataset, algorithm, subset = row[0].strip(), row[1].strip(), row[2].strip()
-                if not dataset or not algorithm:
-                    raise InputError("empty identifier")
-                if subset not in ("1", "2"):
-                    raise InputError(f"unknown subset value {subset!r}")
-                cls.record(dataset, algorithm, int(subset), *cls._row_values(row))
-            except InputError as exc:
-                raise InputError(f"line {line}: {exc}") from None
 
     @property
     def records(self) -> tuple:
@@ -231,41 +232,26 @@ class _RecordTable:
         return iter(self.records)
 
 
-def _error_values(row: list) -> tuple:
-    test_error = _number(float, row[3], "test_error")
-    cv = row[4].strip() if len(row) > 4 else ""
-    return test_error, _number(float, cv, "cv_error") if cv else None
-
-
-def _timing_values(row: list) -> tuple:
-    return (
-        _number(float, row[3], "train_test_seconds"),
-        _number(float, row[4], "hyper_search_seconds"),
-        _number(int, row[5], "n_hyper_combos"),
-    )
-
-
 class ErrorTable(_RecordTable):
     """All parsed :class:`ErrorRecord` rows of one benchmark run."""
 
     record = ErrorRecord
     headers = (ERROR_HEADER, ERROR_HEADER[:4])
     columns = ("test_error", "cv_error")
-    _row_values = staticmethod(_error_values)
 
     @staticmethod
-    def _convert(columns: list) -> list:
-        test = _floats(columns[3])
-        cv_text = list(map(str.strip, columns[4])) if len(columns) > 4 else [""] * len(test)
-        cv = _floats(list(map(_NAN_IF_BLANK.get, cv_text, cv_text)))
-        blank = np.isnan(cv)  # a blank field, or a NaN value, which the count tells apart
-        if not (
-            _in_unit_interval(test)
-            and _in_unit_interval(cv[~blank])
-            and np.count_nonzero(blank) == cv_text.count("")
-        ):
-            raise _Rejected
-        return [test, cv]
+    def _convert(columns: list) -> tuple:
+        test, bad_test = _column(float, columns[3], math.nan)
+        cv_text = np.array(list(map(str.strip, columns[4])) if len(columns) > 4 else [""] * len(test), object)
+        blank = cv_text == ""  # an empty cv_error field: no CV estimate
+        cv, bad_cv = _column(float, np.where(blank, "nan", cv_text), math.nan)
+        # a NaN compares False, so it lies outside [0,1]
+        return [test, cv], [
+            (bad_test, _malformed("test_error", columns[3])),
+            (bad_cv, _malformed("cv_error", cv_text)),
+            (~((test >= 0) & (test <= 1)), lambda r: f"test_error outside [0,1]: {float(test[r])}"),
+            (~((cv >= 0) & (cv <= 1) | blank), lambda r: f"cv_error outside [0,1]: {float(cv[r])}"),
+        ]
 
 
 class TimingTable(_RecordTable):
@@ -274,15 +260,21 @@ class TimingTable(_RecordTable):
     record = TimingRecord
     headers = (TIMING_HEADER,)
     columns = ("train_test_seconds", "hyper_search_seconds", "n_hyper_combos")
-    _row_values = staticmethod(_timing_values)
 
     @staticmethod
-    def _convert(columns: list) -> list:
-        seconds = [_floats(columns[3]), _floats(columns[4])]
-        combos = np.array(list(map(int, columns[5])))  # int64, or object past its range
-        if not (all((np.isfinite(s) & (s >= 0)).all() for s in seconds) and (combos >= 1).all()):
-            raise _Rejected
-        return seconds + [combos]
+    def _convert(columns: list) -> tuple:
+        train, bad_train = _column(float, columns[3], math.nan)
+        search, bad_search = _column(float, columns[4], math.nan)
+        combos, bad_combos = _column(int, columns[5], 1)  # int64, or object past its range
+        return [train, search, combos], [
+            (bad_train, _malformed("train_test_seconds", columns[3])),
+            (bad_search, _malformed("hyper_search_seconds", columns[4])),
+            (bad_combos, _malformed("n_hyper_combos", columns[5])),
+            (~np.isfinite(train), lambda r: f"train_test_seconds not finite: {float(train[r])}"),
+            (~np.isfinite(search), lambda r: f"hyper_search_seconds not finite: {float(search[r])}"),
+            ((train < 0) | (search < 0), lambda r: "negative time"),
+            (combos < 1, lambda r: f"n_hyper_combos must be >= 1, got {combos[r]}"),
+        ]
 
 
 @dataclass
@@ -322,31 +314,25 @@ class AggregatedMatrix:
 
 
 def _lines(source) -> list:
-    """The lines of ``source``, a leading byte-order mark dropped."""
-    if isinstance(source, (str, bytes)):
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
-        stream = io.StringIO(source)
-    elif isinstance(source, io.TextIOBase):
-        stream = source
-    else:
-        # byte stream
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    lines = list(stream)
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]
-    return lines
+    """The lines of ``source``, a str, bytes, or a text or byte stream, split
+    at "\n" alone, a leading byte-order mark dropped; bytes are UTF-8."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    return list(io.StringIO(source.removeprefix("\ufeff")))
 
 
-def _records(lines: list, ends: Optional[list] = None):
-    """The csv reader's nonblank records of ``lines``; where ``ends`` is a
-    list, the file line each record ends on is appended to it.
+def _records(lines: list) -> tuple:
+    """The csv reader's nonblank records of ``lines``, the file line each
+    ends on, and the error for a record the reader rejects, naming the line
+    it starts on (None if it rejects none; the records then stop before it).
 
     A '#' line (e.g. the synth-spec echo) is a comment where a record starts,
     not inside a quoted field; the reader reads it as a blank line, so its
-    ``line_num`` stays the file line.  A record the reader rejects raises
-    ``csv.Error`` naming the line it starts on.
+    ``line_num`` stays the file line.
     """
+    rows, ends = [], []
     start = 0  # the line_num at which the next record starts
 
     def feed():  # the reader asks for each line once it has read line_num lines
@@ -358,25 +344,11 @@ def _records(lines: list, ends: Optional[list] = None):
         for row in reader:
             start = reader.line_num
             if len(row) > 1 or row and row[0].strip():
-                if ends is not None:
-                    ends.append(start)
-                yield row
+                rows.append(row)
+                ends.append(start)
     except csv.Error as exc:
-        raise csv.Error(f"line {start + 1}: {exc}") from None
-
-
-def _numbered_rows(lines: list) -> tuple:
-    """The rows after the header, the file line each ends on, and the error
-    for a record the reader rejects, header or row (None if it rejects none;
-    the rows then stop before that record): a second read of ``lines``, made
-    only to name the line of an error."""
-    rows, numbers = [], []
-    try:
-        for row in _records(lines, numbers):
-            rows.append(row)
-    except csv.Error as exc:
-        return rows[1:], numbers[1:], InputError(str(exc))
-    return rows[1:], numbers[1:], None
+        return rows, ends, InputError(f"line {start + 1}: {exc}")
+    return rows, ends, None
 
 
 def _ingest(source, table: type):
@@ -384,30 +356,22 @@ def _ingest(source, table: type):
 
     The first nonblank record must equal one of ``table.headers``.  Each row
     starts with dataset, algorithm and subset; the rest are ``table``'s value
-    columns.  The per-row rule is ``table._row_values`` then the record
-    constructor's range checks; row errors come before duplicate keys.
+    columns.  The rows before a record the reader rejects are checked first,
+    as a row-at-a-time parser would meet them.
     """
-    lines = _lines(source)
-    records = _records(lines)
-    header = []  # stays empty where the reader rejects the header
+    rows, ends, reader_error = _records(_lines(source))
+    if not rows:
+        raise reader_error or InputError("empty input: missing header")
+    header = [h.strip() for h in rows[0]]
+    if header not in table.headers:
+        raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
     try:
-        header = next(records, None)
-        if header is None:
-            raise InputError("empty input: missing header")
-        header = [h.strip() for h in header]
-        if header not in table.headers:
-            raise InputError(f"unexpected header {header!r}, want {table.headers[0]!r}")
-        return table(list(records), len(header))
-    except (_Rejected, ValueError, csv.Error):
-        pass  # leaving the handler frees the columns before the second read
-    # an error in the rows before a record the reader rejects comes first,
-    # as it does in the file
-    rows, numbers, reader_error = _numbered_rows(lines)
-    table._row_error(rows, numbers, len(header))
-    keys = [(row[0].strip(), row[1].strip(), int(row[2])) for row in rows]
-    if reader_error is not None and len(set(keys)) == len(keys):
+        parsed = table(rows[1:], len(header))
+    except RowError as exc:
+        raise InputError(exc.naming(lambda r: f"line {ends[r + 1]}")) from None
+    if reader_error is not None:
         raise reader_error
-    raise _duplicate_error(keys, numbers)  # ValueError if none: the checks disagree
+    return parsed
 
 
 def ingest_error_table(source) -> ErrorTable:

@@ -595,6 +595,10 @@ class TestRopeMatrix:
         with pytest.raises(InputError):
             rope_probability_matrix(draws, 0.0)
 
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(InputError, match="half_width must be positive, got nan"):
+            rope_probability_matrix(hand_built_draws(), math.nan)
+
     def test_relabeling_permutes_matrix_exactly(self):
         rng = np.random.default_rng(5)
         m, _ = synthetic_matrix(rng, 4, 12)
@@ -843,6 +847,25 @@ class TestPersistence:
         assert {key: meta[key] for key in pins} == pins
         unpinned = run_chains(spec, m, McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5), seed=2)
         assert not [key for key in unpinned.meta if key.startswith("fixed_")]
+
+    def test_check_source_compares_the_digest_where_the_draws_have_one(self, tmp_path):
+        draws = self._sample("normal")
+        rng = np.random.default_rng(6)
+        m, _ = synthetic_matrix(rng, 3, 6)  # the matrix _sample drew from
+        path = tmp_path / "draws.bin"
+        save_draws(draws, path)
+        loaded = load_draws(path)
+        loaded.check_source(m)
+        other = make_matrix(m.values, m.algorithms, m.datasets)
+        other.values[2, 1] += 1e-12
+        with pytest.raises(InputError, match="^draws and data matrix value mismatch$"):
+            loaded.check_source(other)
+        other.values[2, 1] = np.nan
+        other.mask[2, 1] = False
+        with pytest.raises(InputError, match="value mismatch"):
+            loaded.check_source(other)
+        del loaded.meta["data_sha256"]  # as in v1 files and older v2 files
+        loaded.check_source(other)
 
 
 class TestRobustVariant:

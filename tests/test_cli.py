@@ -186,6 +186,39 @@ class TestBayesCommand:
         assert main(["bayes", synth_csv, "--load", str(GOLDEN / "legacy-v1.draws")]) == 2
         assert capsys.readouterr().err == "error: draws and data matrix label mismatch\n"
 
+    @pytest.mark.parametrize("rope", ["nan", "-1", "0"])
+    def test_bad_rope_exit_2_before_sampling(self, tmp_path, rope, capsys):
+        save = tmp_path / "x.draws"
+        argv = ["bayes", str(GOLDEN / "errors.csv"), "--rope", rope, "--save", str(save), "--seed", "1",
+                "--chains", "2", "--burn-in", "10", "--adaptation", "10", "--kept", "20"]
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []  # no x.draws
+        argv = ["bayes", str(GOLDEN / "errors.csv"), "--load", str(GOLDEN / "legacy-v1.draws"), "--rope", rope]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --rope must be > 0, got {float(rope)}\n" * 2
+
+    def test_load_and_ppc_with_other_values_exit_2(self, synth_csv, tmp_path, capsys):
+        draws = str(tmp_path / "d.draws")
+        argv = ["bayes", synth_csv, "--chains", "2", "--burn-in", "10", "--adaptation", "10",
+                "--kept", "20", "--seed", "1", "--save", draws]
+        assert main(argv) == 0
+        lines = Path(synth_csv).read_text().splitlines(True)
+        row = next(n for n, line in enumerate(lines) if line.startswith("d00,good,1,"))
+        fields = lines[row].split(",")
+        fields[3] = repr(float(fields[3]) + 0.001)
+        lines[row] = ",".join(fields)
+        other = tmp_path / "other.csv"
+        other.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["bayes", str(other), "--load", draws]) == 2
+        assert main(["ppc", draws, str(other), "--n-draws", "10", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: draws and data matrix value mismatch\n" * 2
+        assert main(["ppc", draws, synth_csv, "--n-draws", "10", "--seed", "0"]) == 0
+
     def test_load_with_sampling_options_exit_2(self, tmp_path, capsys):
         save = tmp_path / "x.bin"
         argv = ["bayes", str(GOLDEN / "errors.csv"), "--load", str(GOLDEN / "legacy-v1.draws"),
@@ -376,6 +409,14 @@ class TestErrorHandling:
         path.write_text(HEADER + "d,a,1,0.1,\n" + 'd,"a,2,0.1,\n' + "x" * 140_000 + "\n")
         assert main(["rank", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: line 3: field larger than field limit")
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1"])
+    @pytest.mark.parametrize("command, table", [("nhst", "errors.csv"), ("timing", "timing.csv")])
+    def test_alpha_outside_zero_one_exit_2(self, command, table, alpha, capsys):
+        assert main([command, str(GOLDEN / table), "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --alpha must be in (0, 1), got {float(alpha)}\n"
 
     def test_unknown_flag_exit_2(self, synth_csv, capsys):
         assert main(["rank", synth_csv, "--bogus"]) == 2

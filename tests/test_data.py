@@ -19,7 +19,8 @@ from benchstat import (
     ingest_timing_table,
     matrix_from_timings,
 )
-from benchstat.data import error_table_to_csv
+import benchstat.data
+from benchstat.data import ErrorTable, error_table_to_csv
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
 TIMING_HEADER = (
@@ -104,6 +105,16 @@ class TestIngestErrorTable:
         assert len(ingest_error_table(stream)) == 1
 
     @pytest.mark.parametrize(
+        "kind",
+        [str, str.encode, lambda text: io.BytesIO(text.encode()), lambda text: io.StringIO(text, newline="")],
+        ids=["str", "bytes", "byte stream", "text stream"],
+    )
+    def test_every_source_kind_splits_lines_at_newline_alone(self, kind):
+        text = HEADER + '"a\rb",rf,1,0.1,\nx,rf,1,zz,\n'
+        with pytest.raises(InputError, match="^line 3: malformed test_error value 'zz'$"):
+            ingest_error_table(kind(text))
+
+    @pytest.mark.parametrize(
         "text",
         [HEADER + "iris,rf,1,0.05,\n", "# note\n" + HEADER + "iris,rf,1,0.05,\n"],
         ids=["header first", "comment first"],
@@ -151,6 +162,18 @@ class TestIngestErrorTable:
     def test_comment_lines_where_a_record_starts(self, rows, dataset):
         table = ingest_error_table(HEADER + rows + "z,rf,1,0.2,\n")
         assert table.datasets == (dataset, "z") and len(table) == 2
+
+
+class TestTableConstructor:
+    def test_repeated_key_names_both_rows(self):
+        rows = [["d", "a", "1", "0.1", ""], ["d", "a", "1", "0.2", ""]]
+        with pytest.raises(InputError, match=re.escape("rows[1]: duplicate key ('d', 'a', 1) (first seen at rows[0])")):
+            ErrorTable(rows, 5)
+
+    def test_malformed_value_names_its_row(self):
+        rows = [["d", "a", "1", "0.1", ""], ["d", "a", "2", "zz", ""]]
+        with pytest.raises(InputError, match=r"^rows\[1\]: malformed test_error value 'zz'$"):
+            ErrorTable(rows, 5)
 
 
 # schema -> (header, good row maker, malformed rows, ingester)
@@ -337,11 +360,18 @@ def test_column_checks_agree_with_the_per_row_rule(schema, data):
 
 
 def test_valid_tables_are_never_walked_row_by_row(monkeypatch):
-    def walk(*args):
-        raise AssertionError("a valid table was walked row by row")
+    passes = []
+    read = benchstat.data._records
 
-    monkeypatch.setattr("benchstat.data._numbered_rows", walk)
-    monkeypatch.setattr("benchstat.data._RecordTable._row_error", classmethod(walk))
+    def counted(lines):
+        passes.append(lines)
+        return read(lines)
+
+    def walk(*args):
+        raise AssertionError("a valid table was converted one text at a time")
+
+    monkeypatch.setattr("benchstat.data._records", counted)
+    monkeypatch.setattr("benchstat.data._each", walk)
     golden = Path(__file__).parent / "golden"
     spec = SynthSpec(beta=0.2, alpha={"#a": 0.0, "b": 0.05}, delta={"#d1": 0.0, "#d2": 0.1}, noise_sd=0.01)
     tables = {
@@ -355,6 +385,7 @@ def test_valid_tables_are_never_walked_row_by_row(monkeypatch):
         "golden errors": 119, "golden timing": 120, "synth": 8, "no cv": 2, "timing": 2,
     }
     assert tables["synth"].datasets == ("#d1", "#d2")
+    assert len(passes) == len(tables)
 
 
 class TestAggregateErrors:
