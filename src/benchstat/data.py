@@ -160,8 +160,10 @@ class _RecordTable:
         :class:`RowError` naming it and the first rule it breaks.
         """
         counts = np.fromiter(map(len, rows), np.intp, len(rows))
-        if (counts != width).any():  # pad or cut for the column split alone
-            rows = [(row + [""] * width)[:width] for row in rows]
+        if (counts != width).any():
+            # pad or cut the rows of another width for the column split alone: their
+            # field count is their first error, and "0" passes every conversion
+            rows = [row if len(row) == width else (row + ["0"] * width)[:width] for row in rows]
         fields = reduce(iadd, rows, [])  # one flat list of every field
         columns = [fields[n::width] for n in range(width)]
         del fields

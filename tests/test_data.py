@@ -386,6 +386,9 @@ def test_valid_tables_are_never_walked_row_by_row(monkeypatch):
     }
     assert tables["synth"].datasets == ("#d1", "#d2")
     assert len(passes) == len(tables)
+    # a short row is padded with a text every conversion reads
+    with pytest.raises(InputError, match="^line 3: expected 5 fields, got 3$"):
+        ingest_error_table(HEADER + "iris,rf,1,0.05,\niris,rf,2\n")
 
 
 class TestAggregateErrors:
