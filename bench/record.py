@@ -20,6 +20,10 @@ that variant, and records its wall seconds, start-up and import included,
 with the machine-speed factor of that run: while it runs, this process times
 perfbench's speed-probe kernel on the probe's timer, and the factor is the
 median kernel time over its reference time, as for the workload runs.
+The draws depend only on the seed, so a second, untimed run of the same
+command adds ``--save``; ``min_bulk_ess`` is the smallest bulk ESS of
+perfbench's reference ``convergence`` over every scalar parameter of those
+draws, and ``ess_per_s`` is ``min_bulk_ess`` over ``wall_s``.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
 
@@ -42,9 +46,13 @@ import time
 from importlib.metadata import version
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+import reference  # noqa: E402  perfbench's independent statistics
 import tables  # noqa: E402  perfbench's seeded input tables
+from benchstat.banova import load_draws  # noqa: E402
 from speed import KERNEL_REF_S, SpeedProbe  # noqa: E402  perfbench's machine-speed probe
 
 SEED = 1
@@ -80,16 +88,25 @@ def paper_config_run(variant: str) -> dict:
         argv = [sys.executable, "-m", "benchstat.cli", "bayes", str(table), "--variant", variant,
                 "--paper-config", "--seed", str(SEED), "--out", str(Path(work) / "report.csv")]
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+        def bayes(*extra):
+            done = subprocess.run([*argv, *extra], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                                  capture_output=True, text=True)
+            if done.returncode != 0:
+                raise SystemExit(f"bayes --variant {variant} --paper-config exited {done.returncode}:\n{done.stderr}")
+
         probe = SpeedProbe()
         probe.start()
         start = time.perf_counter()
-        done = subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+        bayes()
         seconds = time.perf_counter() - start
         probe.stop()
-    if done.returncode != 0:
-        raise SystemExit(f"bayes --variant {variant} --paper-config exited {done.returncode}:\n{done.stderr}")
+        draws = Path(work) / "draws.bin"
+        bayes("--save", str(draws))
+        ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in load_draws(draws).scalar_chains())
     factor = statistics.median(probe.samples) / KERNEL_REF_S
-    return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor}
+    return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor,
+            "min_bulk_ess": ess, "ess_per_s": ess / seconds}
 
 
 def source_lines() -> dict:
@@ -118,8 +135,8 @@ def main(argv=None) -> int:
     for variant in ("normal", "robust"):
         entry = paper_config_run(variant)
         paper_config.append(entry)
-        print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}",
-              file=sys.stderr)
+        print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}, "
+              f"min bulk ESS {entry['min_bulk_ess']:.0f}", file=sys.stderr)
     tracked = git("status", "--porcelain", "--untracked-files=no")
     new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     record = {

@@ -151,7 +151,8 @@ class _RecordTable:
     columns: tuple  # the value columns, after dataset, algorithm and subset
 
     def __init__(self, rows: list, width: int):
-        """The table of ``rows``, lists of ``width`` CSV fields.
+        """The table of ``rows``, lists of ``width`` CSV fields; ``width`` is
+        the length of one of ``headers``, else :class:`ValueError`.
 
         Each rule is a mask over the rows, in the order a row-at-a-time
         parser checks them: the field count, an empty identifier, the subset,
@@ -159,11 +160,14 @@ class _RecordTable:
         repeated key.  The first row that breaks a rule raises a
         :class:`RowError` naming it and the first rule it breaks.
         """
+        widths = [len(header) for header in self.headers]
+        if width not in widths:
+            raise ValueError(f"{type(self).__name__} width must be one of {widths}, got {width}")
         counts = np.fromiter(map(len, rows), np.intp, len(rows))
         if (counts != width).any():
             # pad or cut the rows of another width for the column split alone: their
             # field count is their first error, and "0" passes every conversion
-            rows = [row if len(row) == width else (row + ["0"] * width)[:width] for row in rows]
+            rows = [row if len(row) == width else (list(row) + ["0"] * width)[:width] for row in rows]
         fields = reduce(iadd, rows, [])  # one flat list of every field
         columns = [fields[n::width] for n in range(width)]
         del fields

@@ -41,34 +41,18 @@ def psrf(chains, split: bool = False) -> Optional[float]:
     return float(np.sqrt(var_plus / w))
 
 
-def _fft_size(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT handles fast."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-# Lags computed as direct products before a row's autocovariances come from
-# the FFT instead: one lag product of 4 x 5,000 draws costs about 1/64 of
-# the padded FFT pair.  Chains shorter than _DIRECT_MIN_DRAWS take the FFT
-# at once: there the FFT pair costs no more than the few lag products of a
-# well-mixed chain (both measured on sampled draws at 200 to 5,000 per chain).
-# _DIRECT_MIN_DRAWS > _DIRECT_LAGS, so every direct lag exists.
+# Lags computed as direct products, at every chain length, before a row's
+# autocovariances come from the FFT instead: one lag product of 4 x 5,000
+# draws costs about 1/64 of the padded FFT pair.  A chain of n draws stops
+# at its last lag, n - 1, if that comes first; a row still positive there
+# takes the FFT too.
 _DIRECT_LAGS = 64
-_DIRECT_MIN_DRAWS = 1000
 
 
 def _fft_tau(x: np.ndarray) -> np.ndarray:
     """Geyer's tau of each centred row, every autocovariance from one FFT pair."""
     n = x.shape[-1]
-    # zero-padded to a fast length >= 2n - 1
-    size = _fft_size(2 * n - 1)
+    size = 1 << (2 * n - 2).bit_length()  # zero-padded to a power of two >= 2n - 1
     f = np.fft.rfft(x, size)
     acov = np.fft.irfft(f * np.conjugate(f), size)[..., :n]
     rho = acov / acov[..., :1]
@@ -83,13 +67,14 @@ def _direct_tau(x: np.ndarray, acov0: np.ndarray) -> np.ndarray:
 
     One pair of lags (2m, 2m+1) at a time, and only for the rows whose pair
     sums are all still positive.  Rows still positive after ``_DIRECT_LAGS``
-    lags take :func:`_fft_tau`, so a chain that does not mix costs one FFT
-    pair more, never O(n^2).  ``acov0`` holds each row's lag-0 product.
+    lags, or after the last pair of a shorter chain, take :func:`_fft_tau`,
+    so a chain that does not mix costs one FFT pair more, never O(n^2).
+    ``acov0`` holds each row's lag-0 product.
     """
     n = x.shape[-1]
     tau = np.full(len(x), -1.0)
     live = np.arange(len(x))  # rows whose pair sums are all positive so far
-    for lag in range(0, _DIRECT_LAGS, 2):
+    for lag in range(0, min(_DIRECT_LAGS, n - 1), 2):
         pair = (
             np.einsum("ij,ij->i", x[:, : n - lag], x[:, lag:])
             + np.einsum("ij,ij->i", x[:, : n - lag - 1], x[:, lag + 1 :])
@@ -106,20 +91,14 @@ def _direct_tau(x: np.ndarray, acov0: np.ndarray) -> np.ndarray:
 
 
 def _chain_ess(x: np.ndarray) -> np.ndarray:
-    """ESS of each chain (row of ``x``) via Geyer's initial positive sequence.
-
-    Chains of ``_DIRECT_MIN_DRAWS`` draws or more take :func:`_direct_tau`,
-    shorter ones :func:`_fft_tau`.
-    """
+    """ESS of each chain (row of ``x``) via Geyer's initial positive sequence,
+    with tau from :func:`_direct_tau` at every chain length."""
     n = x.shape[-1]
     x = x - x.mean(axis=-1, keepdims=True)
     acov0 = (x * x).sum(axis=-1)
     if not acov0.all():
         raise InputError("effective sample size undefined for a constant chain")
-    if n < _DIRECT_MIN_DRAWS:
-        tau = _fft_tau(x)
-    else:
-        tau = _direct_tau(x.reshape(-1, n), acov0.reshape(-1)).reshape(x.shape[:-1])
+    tau = _direct_tau(x.reshape(-1, n), acov0.reshape(-1)).reshape(x.shape[:-1])
     return n / np.maximum(tau, 1.0 / n)
 
 

@@ -20,7 +20,7 @@ from benchstat import (
     matrix_from_timings,
 )
 import benchstat.data
-from benchstat.data import ErrorTable, error_table_to_csv
+from benchstat.data import ErrorTable, TimingTable, error_table_to_csv
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
 TIMING_HEADER = (
@@ -174,6 +174,16 @@ class TestTableConstructor:
         rows = [["d", "a", "1", "0.1", ""], ["d", "a", "2", "zz", ""]]
         with pytest.raises(InputError, match=r"^rows\[1\]: malformed test_error value 'zz'$"):
             ErrorTable(rows, 5)
+
+    @pytest.mark.parametrize("table, width", [(ErrorTable, 6), (ErrorTable, 3), (TimingTable, 5)])
+    def test_width_of_no_header_rejected(self, table, width):
+        accepted = [len(header) for header in table.headers]
+        with pytest.raises(ValueError, match=re.escape(f"width must be one of {accepted}, got {width}")):
+            table([["d", "a", "1", "0.1", "", "x"][:width]], width)
+
+    def test_short_tuple_row_names_its_field_count(self):
+        with pytest.raises(InputError, match=re.escape("rows[0]: expected 5 fields, got 4")):
+            ErrorTable([("d", "a", "1", "0.1")], 5)
 
 
 # schema -> (header, good row maker, malformed rows, ingester)

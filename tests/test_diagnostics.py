@@ -20,7 +20,7 @@ from benchstat import (
 )
 from benchstat.banova import PosteriorDraws
 from benchstat.data import AggregatedMatrix
-from benchstat.diagnostics import _DIRECT_LAGS, _chain_ess, _fft_size
+from benchstat.diagnostics import _DIRECT_LAGS, _chain_ess
 
 
 def geyer_ess_loop(x):
@@ -191,11 +191,17 @@ class TestEss:
         with pytest.raises(InputError, match="constant chain"):
             _chain_ess(x)
 
-    @pytest.mark.parametrize("n", [2, 3, 999, 1000, 4000, 4001])
-    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5, 0.9, 0.99, "walk"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 63, 64, 65, 999, 1000, 4000, 4001])
+    @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.5, 0.9, 0.99, "walk", "alternating"])
     def test_direct_lags_match_loop(self, phi, n):
+        # an alternating chain keeps its pair sums positive to its last lag
         rng = np.random.default_rng(12)
-        x = np.cumsum(rng.standard_normal(n)) if phi == "walk" else ar1(rng, phi, n)
+        if phi == "alternating":
+            x = (-1.0) ** np.arange(n)
+        elif phi == "walk":
+            x = np.cumsum(rng.standard_normal(n))
+        else:
+            x = ar1(rng, phi, n)
         assert _chain_ess(x) == pytest.approx(geyer_ess_loop(x), rel=1e-12)
 
     def test_rows_on_both_sides_of_the_cutoff_in_one_call(self):
@@ -222,35 +228,25 @@ class TestEss:
         for row, value in zip(x, ess):
             assert value == pytest.approx(geyer_ess_loop(row), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 999])
-    def test_short_chains_take_the_fft_at_once(self, monkeypatch, n):
-        x = np.random.default_rng(16).standard_normal((4, n))
-        calls = count_rfft(monkeypatch)
-        _chain_ess(x)
-        assert calls == [(4, n)]
-
     def test_slowly_mixing_row_reaches_the_fft(self, monkeypatch):
         x = ar1(np.random.default_rng(15), 0.99, 5000)
         calls = count_rfft(monkeypatch)
         _chain_ess(x)
         assert calls == [(1, x.size)]
 
-    def test_fft_size_is_the_smallest_5_smooth_length(self):
-        def smooth(m):
-            for p in (2, 3, 5):
-                while m % p == 0:
-                    m //= p
-            return m == 1
-
-        for m in range(1, 3000):
-            size = _fft_size(m)
-            assert size >= m and smooth(size)
-            assert not any(smooth(j) for j in range(m, size))
-        assert _fft_size(2 * 5000 - 1) == 10_000
+    def test_short_row_positive_at_its_last_lag_reaches_the_fft(self, monkeypatch):
+        # on an even length a chain's pair sums add up to 1/2, so a slowly
+        # mixing one turns a pair nonpositive before its n - 1 lags run out;
+        # this alternating chain's pair sums are each 1/n, all positive
+        x = (-1.0) ** np.arange(40)
+        assert stop_lag(x) == x.size
+        calls = count_rfft(monkeypatch)
+        _chain_ess(x)
+        assert calls == [(1, x.size)]
 
 
 def test_cli_import_does_not_load_scipy_fft():
-    # the padded FFT length is computed in the package, and scipy, the
+    # the FFT pads to a power of two found with int.bit_length, and scipy, the
     # process pool and its start methods are imported only where a command
     # uses them, so importing the CLI loads none of them; dense ranks round
     # without decimal
