@@ -784,6 +784,11 @@ def _read_v1_rows(fh, path, shape: tuple) -> np.ndarray:
         text.detach()  # ``load_draws`` closes the file, not the collected wrapper
     if body.shape[1] != shape[2] + 1:
         raise InputError(f"draws file {path} has {body.shape[1]} columns, want {shape[2] + 1}")
+    if len(body) != shape[0] * shape[1]:
+        raise InputError(
+            f"draws file {path} has {len(body)} draws, header wants {shape[0] * shape[1]} "
+            f"({shape[0]} chains x {shape[1]} draws)"
+        )
     block = _draws_block((shape[0], shape[2], shape[1]))
     for ci, columns in enumerate(block):
         rows = body[body[:, 0] == ci, 1:]

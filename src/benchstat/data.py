@@ -41,6 +41,7 @@ from .errors import InputError
 
 ERROR_HEADER = ["dataset", "algorithm", "subset", "test_error", "cv_error"]
 TIMING_HEADER = ERROR_HEADER[:3] + ["train_test_seconds", "hyper_search_seconds", "n_hyper_combos"]
+INT64_MAX = int(np.iinfo(np.int64).max)  # the largest n_hyper_combos a timing cube holds
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,8 @@ class TimingRecord:
             raise InputError("negative time")
         if self.n_hyper_combos < 1:
             raise InputError(f"n_hyper_combos must be >= 1, got {self.n_hyper_combos}")
+        if self.n_hyper_combos > INT64_MAX:
+            raise InputError(f"n_hyper_combos must be <= {INT64_MAX}, got {self.n_hyper_combos}")
 
 
 class RowError(InputError):
@@ -103,12 +106,13 @@ def _column(kind, texts: list, fill) -> tuple:
     """The array of ``kind`` of each text, ``fill`` where ``kind`` rejects the
     text, and the mask of the texts it rejects.  ``kind`` runs over the whole
     column, and one text at a time only where that raises, or where an int
-    is past int64's range (the array is then of objects)."""
+    is past int64's range; an int column is then an array of objects, which
+    holds every int exactly."""
     try:
         return np.fromiter(map(kind, texts), kind, len(texts)), np.zeros(len(texts), bool)
     except (ValueError, OverflowError):
         values, bad = _each(kind, texts, fill)
-        return np.array(values), bad
+        return np.array(values, float if kind is float else object), bad
 
 
 def _each(kind, texts: list, fill) -> tuple:
@@ -280,6 +284,7 @@ class TimingTable(_RecordTable):
             (~np.isfinite(search), lambda r: f"hyper_search_seconds not finite: {float(search[r])}"),
             ((train < 0) | (search < 0), lambda r: "negative time"),
             (combos < 1, lambda r: f"n_hyper_combos must be >= 1, got {combos[r]}"),
+            (combos > INT64_MAX, lambda r: f"n_hyper_combos must be <= {INT64_MAX}, got {combos[r]}"),
         ]
 
 

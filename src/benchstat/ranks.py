@@ -179,7 +179,8 @@ def histogram_to_svg(r: RankMatrix) -> str:
         lines.append(f'<text x="{x}" y="20">{ki + 1}</text>')
     for ai, algorithm in enumerate(r.algorithms):
         y0 = 30 + ai * cell
-        lines.append(f'<text x="5" y="{y0 + cell // 2 + 4}">{algorithm}</text>')
+        label = algorithm.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        lines.append(f'<text x="5" y="{y0 + cell // 2 + 4}">{label}</text>')
         for ki in range(n_rank):
             shade = 255 - int(round(255 * counts[ai, ki] / peak)) if peak else 255
             x0 = label_w + ki * cell

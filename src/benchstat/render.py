@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
@@ -33,11 +34,16 @@ def _csv_table(header, rows) -> str:
     return out.getvalue()
 
 
+def _markdown_cell(value) -> str:
+    """``value`` as one markdown cell: a pipe escaped, each line break a <br>."""
+    return re.sub(r"\r\n|\r|\n", "<br>", str(value).replace("|", r"\|"))
+
+
 def _markdown_table(header, rows) -> str:
-    lines = ["| " + " | ".join(str(h) for h in header) + " |"]
+    lines = ["| " + " | ".join(map(_markdown_cell, header)) + " |"]
     lines.append("|" + "|".join([" --- "] * len(header)) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+        lines.append("| " + " | ".join(map(_markdown_cell, row)) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -27,49 +27,29 @@ class ThresholdReport:
     n_cv_values: int = 0
 
 
-def top_k_algorithms(m: AggregatedMatrix, k: int) -> dict:
-    """Per dataset, the algorithms with the k smallest aggregated errors.
+def top_k_algorithms(m: AggregatedMatrix, k: int) -> np.ndarray:
+    """The (datasets, algorithms) mask of each dataset's k smallest present
+    aggregated errors, in ``m``'s label order.
 
-    Ties at the k-th boundary are all included, so a set may exceed k.
+    Ties at the k-th boundary are all included, so a row may hold more than k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     values = np.where(m.mask, m.values, np.inf)
-    count = m.mask.sum(axis=1)
-    # the k-th smallest present value of each row, or its largest with fewer;
-    # a row with none takes the inf column appended last
-    ranked = np.sort(np.column_stack([values, np.full(len(values), np.inf)]), axis=1)
-    cutoff = ranked[np.arange(len(values)), np.minimum(count, k) - 1]
-    top = m.mask & (values <= cutoff[:, None])
-    return {
-        dataset: {a for a, t in zip(m.algorithms, row) if t}
-        for dataset, row in zip(m.datasets, top.tolist())
-    }
+    # the k-th smallest present value of each row; a row with at most k keeps them all
+    cutoff = np.sort(values, axis=1)[:, :k].max(axis=1, initial=-np.inf)
+    return m.mask & (values <= cutoff[:, None])
 
 
-def _top_cells(t: ErrorTable, top: dict) -> tuple:
-    """Presence, test errors and CV errors of ``top``'s (dataset, algorithm)
-    pairs, each of shape (pairs, subsets): datasets in ``top``'s order, each
-    one's algorithms sorted.  A pair naming what ``t`` does not hold is absent.
-    """
-    dataset_index = {d: i for i, d in enumerate(t.datasets)}
-    algorithm_index = {a: i for i, a in enumerate(t.algorithms)}
-    pairs = [
-        (dataset_index.get(dataset, -1), algorithm_index.get(algorithm, -1))
-        for dataset, algorithms in top.items()
-        for algorithm in sorted(algorithms)
-    ]
-    di, ai = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    known = (di >= 0) & (ai >= 0)
-    present = np.zeros((len(pairs), 2), dtype=bool)
-    present[known] = t.present[di[known], ai[known]]
-    test, cv = np.full((2, len(pairs), 2), np.nan)
-    test[known] = t.cubes["test_error"][di[known], ai[known]]
-    cv[known] = t.cubes["cv_error"][di[known], ai[known]]
-    return present, test, cv
+def _top_cells(t: ErrorTable, top: np.ndarray) -> tuple:
+    """Presence, test errors and CV errors of the cells ``top`` selects, each
+    of shape (cells, subsets), in row-major order of ``top``."""
+    if np.shape(top) != t.present.shape[:2]:
+        raise ValueError(f"top has shape {np.shape(top)}, want {t.present.shape[:2]}")
+    return t.present[top], t.cubes["test_error"][top], t.cubes["cv_error"][top]
 
 
-def resample_deltas(t: ErrorTable, top: dict) -> list:
+def resample_deltas(t: ErrorTable, top: np.ndarray) -> list:
     """|test_error@subset2 - test_error@subset1| per kept (dataset, algorithm)."""
     present, test, _ = _top_cells(t, top)
     both = present.all(axis=1)
@@ -79,14 +59,14 @@ def resample_deltas(t: ErrorTable, top: dict) -> list:
     return np.abs(test[both, 1] - test[both, 0]).tolist()
 
 
-def cv_deltas(t: ErrorTable, top: dict) -> list:
+def cv_deltas(t: ErrorTable, top: np.ndarray) -> list:
     """|test_error - cv_error| per kept record; both subsets contribute."""
     present, test, cv = _top_cells(t, top)
     no_cv = present & np.isnan(cv)
     skipped = int(no_cv.sum())
     if skipped:
         warnings.warn(f"skipped {skipped} records without cv_error", stacklevel=2)
-    # row-major: pair by pair, subset 1 before subset 2
+    # row-major: cell by cell, subset 1 before subset 2
     return np.abs(test - cv)[present & ~no_cv].tolist()
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -82,6 +83,37 @@ class TestRankCommand:
         capsys.readouterr()
         assert heat_csv.read_text().startswith("algorithm,rank,count")
         assert heat_svg.read_text().startswith("<svg")
+
+    def test_heatmap_svg_escapes_names(self, tmp_path, capsys):
+        names = {"a&b": 0.1, '"""<c>"""': 0.2}  # CSV fields: the second reads "<c>"
+        rows = [f"d{i},{name},{s},{e}," for i in range(2) for name, e in names.items() for s in (1, 2)]
+        path = tmp_path / "e.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n")
+        heat_svg = tmp_path / "heat.svg"
+        assert main(["rank", str(path), "--heatmap-svg", str(heat_svg)]) == 0
+        capsys.readouterr()
+        texts = [node.text for node in ElementTree.parse(heat_svg).getroot() if node.tag.endswith("text")]
+        assert texts == ["1", "2", '"<c>"', "a&b"]
+
+    @pytest.mark.parametrize("command", ["rank", "nhst"])
+    def test_markdown_cells_hold_pipes_and_line_breaks(self, command, tmp_path, capsys):
+        names = ["a|b", '"x\ny"', '"p\r\nq"', '"r\rs"']
+        rows = [
+            f"d{i},{name},{s},{0.1 * (n + 1) + 0.01 * i},"
+            for i in range(12)
+            for n, name in enumerate(names)
+            for s in (1, 2)
+        ]
+        path = tmp_path / "e.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n")
+        assert main([command, str(path), "--format", "markdown"]) == 0
+        out = capsys.readouterr().out
+        assert r"a\|b" in out and "x<br>y" in out and "p<br>q" in out and "r<br>s" in out
+        tables = [block.splitlines() for block in out.split("\n\n") if block.startswith("|")]
+        assert len(tables) == (1 if command == "rank" else 2)
+        for lines in tables:
+            cells = [len(re.split(r"(?<!\\)\|", line)) for line in lines]
+            assert all(line.startswith("|") for line in lines) and cells == [cells[0]] * len(lines)
 
     def test_out_flag_writes_file(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -180,6 +212,17 @@ class TestBayesCommand:
         draws = str(GOLDEN / "legacy-v1.draws")
         assert main(["bayes", "/nonexistent/other.csv", "--load", draws]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read /nonexistent/other.csv")
+
+    def test_load_v1_header_overstating_its_draws_exit_2(self, tmp_path, capsys):
+        header, body = (GOLDEN / "legacy-v1.draws").read_text().split("\n", 1)
+        magic, meta = header.split(" {", 1)
+        meta = json.loads("{" + meta) | {"n_chains": 10**12, "draws_per_chain": 10**12}
+        path = tmp_path / "big.draws"
+        path.write_text(f"{magic} {json.dumps(meta)}\n{body}")
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "has 400 draws, header wants 1000000000000000000000000 " in err
+        assert f"({10**12} chains x {10**12} draws)" in err
 
     def test_load_with_other_labels_exit_2(self, synth_csv, capsys):
         # the golden draws were sampled on the golden error table's labels
@@ -352,6 +395,15 @@ class TestTimingCommand:
     def test_per_hyper_metric_accepted(self, tmp_path, capsys):
         assert main(["timing", self._table(tmp_path), "--metric", "per_hyper"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("combos", ["9223372036854775808", "1" + "0" * 400])
+    def test_n_hyper_combos_past_int64_exit_2(self, tmp_path, capsys, combos):
+        path = self._table(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(f"d8,fast,1,1,10,{combos}\n")
+        assert main(["timing", path, "--metric", "per_hyper"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 34: n_hyper_combos must be <= 9223372036854775807, got {combos}\n"
 
 
 class TestSynthCommand:

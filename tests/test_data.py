@@ -321,7 +321,7 @@ FIELDS = {
         [["d1", " d1 ", "d2", "d3", 'd"e', *QUOTED_DATASETS], ["a", " b", "c", *QUOTED_ALGORITHMS], ["1", "2", " 2 "],
          ["1.5", " 0 ", "1_0", "2e3"], ["2", "0.5", " 7 "], ["1", "24", " 3 ", "1_0"]],
         [["", " ", *QUOTED_BLANKS], ["", "  ", *QUOTED_BLANKS], ["3", "0", "x", ""],
-         ["abc", "nan", "inf", "-1", ""], ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan"]],
+         ["abc", "nan", "inf", "-1", ""], ["abc", "nan", "-inf", "-0.5", ""], ["0", "1.5", "abc", "", "-2", "nan", "9223372036854775808", "1" + "0" * 400]],
         TimingRecord,
         timing_values,
         ingest_timing_table,
