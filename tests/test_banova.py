@@ -317,6 +317,145 @@ class TestRunChains:
         assert abs(sigma0.mean() - exact) < 3 * mcse, (sigma0.mean(), exact, mcse)
 
 
+def reference_chain(spec, y, present, cfg, seed, kept):
+    """The sweep as plain, unfused numpy: the statement ``banova._run_chain``
+    must agree with, to rounding.  Same conditionals, same order, same random
+    stream; every weighted sum is taken of W = lam / sigma0^2 as written."""
+    rng = np.random.default_rng(seed)
+    n_ds, n_alg = y.shape
+    mask = present.astype(float)
+    n = int(present.sum())
+    robust = spec.variant == "robust"
+
+    beta = spec.y_mean
+    alpha = np.zeros(n_alg)
+    delta = np.zeros(n_ds)
+    sigma0 = cfg.fixed_sigma0 if cfg.fixed_sigma0 is not None else spec.y_sd
+    sigma0 = min(max(sigma0, spec.sigma0_low), spec.sigma0_high)
+    sigma_a = cfg.fixed_sigma_a if cfg.fixed_sigma_a is not None else spec.y_sd / 2.0
+    sigma_d = cfg.fixed_sigma_d if cfg.fixed_sigma_d is not None else spec.y_sd / 2.0
+    df = cfg.fixed_df if cfg.fixed_df is not None else 30.0
+    lam = mask
+    lam_floor = mask * 1e-300
+    missing = 1.0 - mask
+
+    beta_prec0 = 1.0 / spec.beta_sd**2
+    eff_shape = spec.sigma_effect_shape
+    eff_rate = spec.sigma_effect_rate
+    tau_lo, tau_hi = spec.sigma0_high**-2, spec.sigma0_low**-2
+
+    proposals = {}
+    total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
+    k = 0
+    ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
+
+    def lam_sums():
+        ly = lam * y
+        col_l, col_ly = np.dot(ones_d, lam), np.dot(ones_d, ly)
+        return col_l, np.dot(lam, ones_a), col_ly, np.dot(ly, ones_a), col_l.sum(), col_ly.sum()
+
+    col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
+    for it in range(total):
+        inv_s0sq = 1.0 / (sigma0 * sigma0)
+        z = rng.standard_normal(1 + n_alg + n_ds + 2)
+
+        prec = sum_l * inv_s0sq + beta_prec0
+        swr = sum_ly - np.dot(col_l, alpha) - np.dot(row_l, delta)
+        mean = (swr * inv_s0sq + spec.beta_mean * beta_prec0) / prec
+        beta = float(mean + z[0] / math.sqrt(prec))
+
+        prec_a = col_l * inv_s0sq + 1.0 / (sigma_a * sigma_a)
+        swr_a = (col_ly - beta * col_l - np.dot(delta, lam)) * inv_s0sq
+        alpha = swr_a / prec_a + z[1 : 1 + n_alg] / np.sqrt(prec_a)
+
+        prec_d = row_l * inv_s0sq + 1.0 / (sigma_d * sigma_d)
+        swr_d = (row_ly - beta * row_l - np.dot(lam, alpha)) * inv_s0sq
+        delta = swr_d / prec_d + z[1 + n_alg : -2] / np.sqrt(prec_d)
+
+        t_prec = n_alg / sigma_a**2 + beta_prec0
+        t_mean = (alpha.sum() / sigma_a**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
+        t = float(t_mean + z[-2] / math.sqrt(t_prec))
+        beta += t
+        alpha -= t
+        t_prec = n_ds / sigma_d**2 + beta_prec0
+        t_mean = (delta.sum() / sigma_d**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
+        t = float(t_mean + z[-1] / math.sqrt(t_prec))
+        beta += t
+        delta -= t
+
+        resid = y - (beta + alpha) - delta[:, None]
+        r2 = resid * resid
+
+        if cfg.fixed_sigma0 is None:
+            ss = max(float(np.vdot(lam, r2)), 1e-300)
+            sigma0 = 1.0 / math.sqrt(_truncated_gamma(rng, (n - 1) / 2.0, ss / 2.0, tau_lo, tau_hi))
+
+        if cfg.fixed_sigma_a is None:
+            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, float(np.dot(alpha, alpha)))
+            proposals["sigma_a"] = proposals.get("sigma_a", 0) + m
+        if cfg.fixed_sigma_d is None:
+            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, float(np.dot(delta, delta)))
+            proposals["sigma_d"] = proposals.get("sigma_d", 0) + m
+
+        if robust:
+            scale = mask / (0.5 * df + (0.5 / (sigma0 * sigma0)) * r2)
+            lam = rng.standard_gamma((df + 1.0) / 2.0, y.shape) * scale
+            np.maximum(lam, lam_floor, out=lam)
+            col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
+
+            if cfg.fixed_df is None:
+                c = float(sum_l) - float(np.log(lam + missing).sum()) - n + 2.0 * spec.df_rate
+                df, m = _degrees_of_freedom(rng, n, c)
+                proposals["df"] = proposals.get("df", 0) + m
+
+        if it >= cfg.burn_in + cfg.adaptation:
+            j = it - cfg.burn_in - cfg.adaptation
+            if (j + 1) % cfg.thinning == 0:
+                kept.beta[k] = beta
+                kept.alpha[k] = alpha
+                kept.delta[k] = delta
+                kept.sigma0[k] = sigma0
+                kept.sigma_a[k] = sigma_a
+                kept.sigma_d[k] = sigma_d
+                if robust:
+                    kept.df[k] = df
+                k += 1
+
+    for name, values in vars(kept).items():
+        if values is not None and not np.isfinite(values).all():
+            raise ComputationError(f"non-finite draws of {name} encountered")
+    return {name: {"proposals_per_draw": m / total} for name, m in proposals.items()}
+
+
+_SWEEP_CASES = {
+    "default": {},
+    "fixed_sigma0": {"fixed_sigma0": 0.02},
+    "fixed_sigma_a": {"fixed_sigma_a": 0.03},
+    "fixed_sigma_d": {"fixed_sigma_d": 0.08},
+    "fixed_df": {"fixed_df": 4.0},
+    "thinning 2": {"thinning": 2},
+}
+
+
+class TestReferenceSweep:
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_sweep_agrees_with_the_reference_chain(self, variant, case, monkeypatch):
+        # a 4 x 9 table with one missing cell; every draw of every column
+        rng = np.random.default_rng(21)
+        m, _ = synthetic_matrix(rng, 4, 9)
+        m.values[3, 2] = np.nan
+        m.mask[3, 2] = False
+        spec = build_model(m, variant)
+        cfg = McmcConfig(chains=2, burn_in=40, adaptation=40, kept=150, **_SWEEP_CASES[case])
+        fused = run_chains(spec, m, cfg, seed=17)
+        monkeypatch.setattr(banova, "_run_chain", reference_chain)
+        plain = run_chains(spec, m, cfg, seed=17)
+        assert fused.meta["slice"] == plain.meta["slice"]
+        for (name, got), (_, want) in zip(fused.scalar_chains(), plain.scalar_chains()):
+            assert (np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want))).all(), name
+
+
 class TestTruncatedGamma:
     """The exact sigma0 step: one draw of Gamma(shape, rate) on [lo, hi]."""
 

@@ -41,10 +41,12 @@ def _cases() -> dict:
         cases[f"threshold-{fmt}"] = [["threshold", ERRORS] + report]
         cases[f"timing-{fmt}"] = [["timing", TIMING] + report]
         cases[f"timing-per-hyper-{fmt}"] = [["timing", TIMING, "--metric", "per_hyper"] + report]
-        cases[f"bayes-{fmt}"] = [
-            ["bayes", ERRORS, "--save", "{out}.draws"] + MCMC + report,
-            ["bayes", ERRORS, "--load", "{out}.draws", "--format", fmt, "--out", f"{{out}}.load.{ext}"],
-        ]
+        for variant in ("normal", "robust"):
+            name = f"bayes-{fmt}" if variant == "normal" else f"bayes-robust-{fmt}"
+            cases[name] = [
+                ["bayes", ERRORS, "--variant", variant, "--save", "{out}.draws"] + MCMC + report,
+                ["bayes", ERRORS, "--load", "{out}.draws", "--format", fmt, "--out", f"{{out}}.load.{ext}"],
+            ]
     cases["rank-heatmap"] = [
         ["rank", ERRORS, "--out", "{out}.csv", "--heatmap-csv", "{out}.heat.csv",
          "--heatmap-svg", "{out}.heat.svg"]
