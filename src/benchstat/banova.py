@@ -402,31 +402,45 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
     ``y`` is 0 and the latent precisions ``lam`` are 0 on missing cells, so
     those cells drop out of every weighted sum; the normal variant keeps
-    ``lam`` at the 0/1 mask.  With W = lam / sigma0^2, the location updates
-    need the row and column sums of W and W*y and the matrix-vector products
-    ``delta @ W`` and ``W @ alpha``: they are taken of ``lam`` (its sums are
-    recomputed only when ``lam`` changes) and scaled by 1/sigma0^2.  Writes
+    ``lam`` at the 0/1 mask.  Scaled by sigma0^2, alpha | rest is normal with
+    mean rhs/den and sd sigma0/sqrt(den), where den = col_l +
+    sigma0^2/sigma_a^2 and rhs = col_ly - beta*col_l - delta @ lam (col_l and
+    col_ly the column sums of lam and lam*y); delta | rest is the same with
+    rows for columns.  So each block's draw is (rhs + sigma0 sqrt(den) z)/den.
+
+    Each rhs is one vector-matrix product with an augmented matrix, rebuilt
+    only when ``lam`` changes (robust): ``aug_a`` = [col_ly; col_l; lam]
+    ((2 + D) x A) and ``aug_d`` = [row_ly; row_l; lam.T] ((2 + A) x D).  The
+    vectors are ``vec_a`` = [-1, beta, delta] and ``vec_d`` = [-1, beta,
+    alpha], which give -rhs; delta and alpha are views of their tails, so a
+    draw written in place updates the vector the other block reads.  Writes
     the kept draws into the views of ``kept`` and returns the sampler
     counters: proposals per draw of sigma_a, sigma_d and df.
     """
     rng = np.random.default_rng(seed)
+    normal, gamma = rng.standard_normal, rng.standard_gamma
     n_ds, n_alg = y.shape
     mask = present.astype(float)
     n = int(present.sum())
     robust = spec.variant == "robust"
 
+    aug_a, aug_d = np.empty((2 + n_ds, n_alg)), np.empty((2 + n_alg, n_ds))
+    vec_a, vec_d = np.zeros(2 + n_ds), np.zeros(2 + n_alg)
+    vec_a[0] = vec_d[0] = -1.0
+    col_l, lam, row_l = aug_a[1], aug_a[2:], aug_d[1]
+    delta, alpha = vec_a[2:], vec_d[2:]
+    delta_col = delta[:, None]
+    lam[...] = mask
     beta = spec.y_mean
-    alpha = np.zeros(n_alg)
-    delta = np.zeros(n_ds)
     sigma0 = cfg.fixed_sigma0 if cfg.fixed_sigma0 is not None else spec.y_sd
     sigma0 = min(max(sigma0, spec.sigma0_low), spec.sigma0_high)
     sigma_a = cfg.fixed_sigma_a if cfg.fixed_sigma_a is not None else spec.y_sd / 2.0
     sigma_d = cfg.fixed_sigma_d if cfg.fixed_sigma_d is not None else spec.y_sd / 2.0
     df = cfg.fixed_df if cfg.fixed_df is not None else 30.0
-    lam = mask
     lam_floor = mask * 1e-300  # keeps log(lam) finite on present cells
     missing = 1.0 - mask  # log(lam + missing) is 0 on missing cells
 
+    beta_mean = spec.beta_mean
     beta_prec0 = 1.0 / spec.beta_sd**2
     eff_shape = spec.sigma_effect_shape
     eff_rate = spec.sigma_effect_rate
@@ -435,52 +449,72 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
     proposals = {}  # exact draws by rejection: name -> proposals, all iterations
 
-    total = cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning
+    start = cfg.burn_in + cfg.adaptation
+    total = start + cfg.kept * cfg.thinning
     k = 0
+    keep_beta, keep_alpha, keep_delta = kept.beta, kept.alpha, kept.delta
+    keep_sigma0, keep_sigma_a, keep_sigma_d, keep_df = kept.sigma0, kept.sigma_a, kept.sigma_d, kept.df
 
+    # buffers: one normal per location draw and translation move, each
+    # block's -rhs and den, and the squared residuals
+    z = np.empty(1 + n_alg + n_ds + 2)
+    z_effects, z_a, z_d = z[1:-2], z[1 : 1 + n_alg], z[1 + n_alg : -2]
+    rhs_a, den_a, rhs_d, den_d = np.empty(n_alg), np.empty(n_alg), np.empty(n_ds), np.empty(n_ds)
+    fit, r2 = np.empty(n_alg), np.empty(y.shape)
     ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
 
     def lam_sums():
         ly = lam * y
-        col_l, col_ly = np.dot(ones_d, lam), np.dot(ones_d, ly)
-        return col_l, np.dot(lam, ones_a), col_ly, np.dot(ly, ones_a), col_l.sum(), col_ly.sum()
+        np.dot(ones_d, ly, out=aug_a[0])
+        np.dot(ones_d, lam, out=col_l)
+        np.dot(ly, ones_a, out=aug_d[0])
+        np.dot(lam, ones_a, out=row_l)
+        aug_d[2:] = lam.T
+        return float(np.add.reduce(col_l)), float(np.add.reduce(aug_a[0]))
 
-    col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
+    sum_l, sum_ly = lam_sums()
     for it in range(total):
         inv_s0sq = 1.0 / (sigma0 * sigma0)
-        z = rng.standard_normal(1 + n_alg + n_ds + 2)
+        normal(out=z)
 
         # beta | rest
         prec = sum_l * inv_s0sq + beta_prec0
-        swr = sum_ly - np.dot(col_l, alpha) - np.dot(row_l, delta)
-        mean = (swr * inv_s0sq + spec.beta_mean * beta_prec0) / prec
-        beta = float(mean + z[0] / math.sqrt(prec))
+        swr = sum_ly - float(np.dot(col_l, alpha)) - float(np.dot(row_l, delta))
+        beta = (swr * inv_s0sq + beta_mean * beta_prec0) / prec + z.item(0) / math.sqrt(prec)
+        vec_a[1] = vec_d[1] = beta
 
-        # alpha | rest (conditionally independent across algorithms)
-        prec_a = col_l * inv_s0sq + 1.0 / (sigma_a * sigma_a)
-        swr_a = (col_ly - beta * col_l - np.dot(delta, lam)) * inv_s0sq
-        alpha = swr_a / prec_a + z[1 : 1 + n_alg] / np.sqrt(prec_a)
-
-        # delta | rest
-        prec_d = row_l * inv_s0sq + 1.0 / (sigma_d * sigma_d)
-        swr_d = (row_ly - beta * row_l - np.dot(lam, alpha)) * inv_s0sq
-        delta = swr_d / prec_d + z[1 + n_alg : -2] / np.sqrt(prec_d)
+        # alpha | rest (conditionally independent across algorithms), then
+        # delta | rest: (sigma0 sqrt(den) z - (-rhs))/den, written in place
+        z_effects *= sigma0
+        np.dot(vec_a, aug_a, out=rhs_a)
+        np.add(col_l, (sigma0 / sigma_a) ** 2, out=den_a)
+        np.sqrt(den_a, out=alpha)
+        alpha *= z_a
+        alpha -= rhs_a
+        alpha /= den_a
+        np.dot(vec_d, aug_d, out=rhs_d)
+        np.add(row_l, (sigma0 / sigma_d) ** 2, out=den_d)
+        np.sqrt(den_d, out=delta)
+        delta *= z_d
+        delta -= rhs_d
+        delta /= den_d
 
         # translation moves: shift mass between beta and each effect block
         # (likelihood-invariant direction, sampled from its exact conditional)
         t_prec = n_alg / sigma_a**2 + beta_prec0
-        t_mean = (alpha.sum() / sigma_a**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = float(t_mean + z[-2] / math.sqrt(t_prec))
+        t_mean = (float(np.add.reduce(alpha)) / sigma_a**2 + (beta_mean - beta) * beta_prec0) / t_prec
+        t = t_mean + z.item(-2) / math.sqrt(t_prec)
         beta += t
         alpha -= t
         t_prec = n_ds / sigma_d**2 + beta_prec0
-        t_mean = (delta.sum() / sigma_d**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = float(t_mean + z[-1] / math.sqrt(t_prec))
+        t_mean = (float(np.add.reduce(delta)) / sigma_d**2 + (beta_mean - beta) * beta_prec0) / t_prec
+        t = t_mean + z.item(-1) / math.sqrt(t_prec)
         beta += t
         delta -= t
 
-        resid = y - (beta + alpha) - delta[:, None]
-        r2 = resid * resid
+        np.subtract(y, np.add(alpha, beta, out=fit), out=r2)
+        r2 -= delta_col
+        r2 *= r2
 
         # sigma0 | rest: uniform prior, exact truncated-Gamma draw of 1/sigma0^2
         if cfg.fixed_sigma0 is None:
@@ -497,29 +531,27 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         if robust:
             # latent precision multipliers: conjugate Gamma update, 0 on missing cells
-            scale = mask / (0.5 * df + (0.5 / (sigma0 * sigma0)) * r2)
-            lam = rng.standard_gamma((df + 1.0) / 2.0, y.shape) * scale
+            gamma((df + 1.0) / 2.0, out=lam)
+            lam *= mask / (0.5 * df + (0.5 / (sigma0 * sigma0)) * r2)
             np.maximum(lam, lam_floor, out=lam)
-            col_l, row_l, col_ly, row_ly, sum_l, sum_ly = lam_sums()
+            sum_l, sum_ly = lam_sums()
 
             # df | lam: c = sum(lam - log lam - 1) over present cells + 2 df_rate
             if cfg.fixed_df is None:
-                c = float(sum_l) - float(np.log(lam + missing).sum()) - n + 2.0 * spec.df_rate
+                c = sum_l - float(np.log(lam + missing).sum()) - n + 2.0 * spec.df_rate
                 df, m = _degrees_of_freedom(rng, n, c)
                 proposals["df"] = proposals.get("df", 0) + m
 
-        if it >= cfg.burn_in + cfg.adaptation:
-            j = it - cfg.burn_in - cfg.adaptation
-            if (j + 1) % cfg.thinning == 0:
-                kept.beta[k] = beta
-                kept.alpha[k] = alpha
-                kept.delta[k] = delta
-                kept.sigma0[k] = sigma0
-                kept.sigma_a[k] = sigma_a
-                kept.sigma_d[k] = sigma_d
-                if robust:
-                    kept.df[k] = df
-                k += 1
+        if it >= start and (it - start + 1) % cfg.thinning == 0:
+            keep_beta[k] = beta
+            keep_alpha[k] = alpha
+            keep_delta[k] = delta
+            keep_sigma0[k] = sigma0
+            keep_sigma_a[k] = sigma_a
+            keep_sigma_d[k] = sigma_d
+            if robust:
+                keep_df[k] = df
+            k += 1
 
     for name, values in vars(kept).items():
         if values is not None and not np.isfinite(values).all():

@@ -9,6 +9,7 @@ expected bytes to one numerical routine.
 After an intended change of output, regenerate the expected files with
 ``python tests/test_golden.py``.
 """
+import hashlib
 import shutil
 import tempfile
 from pathlib import Path
@@ -62,6 +63,16 @@ def _cases() -> dict:
 
 CASES = _cases()
 
+# SHA-256 of the float64 block of the draws a case saves, so that a change in
+# a draw that the printed digits hide still fails.  They pin the sweep's
+# rounding, under numpy's random streams and BLAS kernels as much as under
+# benchstat's code: a change that rounds the draws differently says so and
+# updates them.
+BLOCK_SHA256 = {
+    "bayes-csv": "7f9f7784ac8b2108841985bd45ccdd5848b065c1127022406d02ccaa48acf11e",
+    "bayes-robust-csv": "0f9710d58d2dc2afa765251ee006ecd8a5f02f99dc0f7f435c46b31cf4056133",
+}
+
 
 def run_case(name: str, out_dir: Path) -> list:
     """Run one case's commands into ``out_dir``; return its report file names."""
@@ -81,6 +92,13 @@ def test_report_bytes_unchanged(name, tmp_path):
     assert produced == expected
     for fname in produced:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SHA256))
+def test_saved_draw_bytes_unchanged(name, tmp_path):
+    run_case(name, tmp_path)
+    _, _, block = (tmp_path / f"{name}.draws").read_bytes().partition(b"\n")
+    assert hashlib.sha256(block).hexdigest() == BLOCK_SHA256[name]
 
 
 def test_legacy_v1_draws_reproduce_load_report(tmp_path):
