@@ -28,6 +28,7 @@ import math
 import mmap
 import os
 import platform
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -702,9 +703,17 @@ def _draws_block(shape: tuple) -> np.ndarray:
 
     Forked workers inherit the mapping and write their chains into it in
     place; and freeing the array unmaps it, so the next block does not sit
-    beside memory that malloc kept from the last one.
+    beside memory that malloc kept from the last one.  A block of more
+    than ``sys.maxsize`` bytes, which no mapping can hold, is an InputError;
+    a mapping the system refuses stays an OSError.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
+    size = 8 * math.prod(shape)
+    if size > sys.maxsize:
+        raise InputError(
+            f"{shape[0]} chains x {shape[1]} columns x {shape[2]} kept draws of 8 bytes "
+            f"is {size} bytes, more than the {sys.maxsize} a draws block can hold"
+        )
+    return np.frombuffer(mmap.mmap(-1, size), dtype="<f8").reshape(shape)
 
 
 def save_draws(p: PosteriorDraws, path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import multiprocessing
@@ -480,6 +481,26 @@ class TestErrorHandling:
         path.write_text(HEADER + "\n".join(rows) + "\n")
         assert main(["bayes", str(path), "--seed", "0"]) == 2
         assert "zero variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--kept", "--chains"])
+    def test_draws_block_past_the_address_space_exit_2(self, option, capsys):
+        argv = ["bayes", str(GOLDEN / "errors.csv"), "--seed", "0", option, str(10**19)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        chains, kept = (10**19, 5000) if option == "--chains" else (4, 10**19)
+        assert captured.err == (
+            f"error: {chains} chains x 21 columns x {kept} kept draws of 8 bytes is "
+            f"{8 * 21 * chains * kept} bytes, more than the {sys.maxsize} a draws block can hold\n"
+        )
+
+    def test_refused_draws_mapping_exit_1(self, monkeypatch, capsys):
+        def refuse(fileno, length):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(banova.mmap, "mmap", refuse)
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--seed", "0"]) == 1
+        assert os.strerror(errno.ENOMEM) in capsys.readouterr().err
 
 
 class TestNumberFormatting:
