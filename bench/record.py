@@ -30,6 +30,22 @@ the recording with its standard error.
 ``source_lines`` counts the lines of each ``src/benchstat/*.py`` module and
 of all of them: ``physical`` lines, and ``code`` lines, those that are not
 blank and do not start with ``#`` once stripped (docstrings count as code).
+
+    python3 bench/record.py --against COMMIT --pairs N --out PAIRS.json \
+        [--seed FIRST] [--workload NAME ...]
+
+instead sets the working tree against COMMIT in alternating pairs.  It
+extracts COMMIT's ``src/`` (``git archive COMMIT src | tar -x``) into a
+temporary directory beside HEAD's ``perfbench/``, so both sides run the same
+benchmark code, and runs each end-to-end workload (all of ``BENCHMARK.json``'s
+unless ``--workload`` names some) untraced, once on each tree per pair: pair
+``i`` runs seed ``FIRST + i`` on both trees, the baseline first in even pairs
+and the change first in odd ones.  Per workload and end-to-end metric it
+records each side's median and quartiles, the median ratio (change over
+baseline), the pairs the change won (ties count for neither) and whether the
+gain is clear: won in at least nine tenths of the pairs, with the medians
+further apart than the baseline's quartiles.  Every run's JSON line is kept,
+and ``source_lines`` is counted for both trees.
 """
 from __future__ import annotations
 
@@ -63,17 +79,18 @@ def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run(workload: str, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+def run(workload: str, seconds: float, trace: int, seed: int = SEED, root: Path = ROOT) -> dict:
+    """One ``perfbench/run.py`` run of the checkout at ``root``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     speed = SPEED.search(done.stderr)
     if done.returncode != 0 or not lines or not speed:
-        raise SystemExit(f"{' '.join(argv[1:])} exited {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {done.returncode}:\n{done.stderr}")
     return {
         "workload": workload,
-        "seed": SEED,
+        "seed": seed,
         "trace": trace,
         "rounds": int(speed.group(1)),
         "speed_factor": float(speed.group(2)) / float(speed.group(3)),
@@ -109,9 +126,9 @@ def paper_config_run(variant: str) -> dict:
             "min_bulk_ess": ess, "ess_per_s": ess / seconds}
 
 
-def source_lines() -> dict:
+def source_lines(root: Path = ROOT) -> dict:
     modules = {}
-    for path in sorted((ROOT / "src" / "benchstat").glob("*.py")):
+    for path in sorted((root / "src" / "benchstat").glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         code = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
         modules[path.name] = {"physical": len(lines), "code": len(code)}
@@ -119,12 +136,83 @@ def source_lines() -> dict:
     return {"modules": modules, **totals}
 
 
+def summarize(baseline: list, change: list, better: str) -> dict:
+    """Each side's median and quartiles, the median ratio, and the pairs won."""
+    sign = 1.0 if better == "higher" else -1.0
+    q_base, q_change = np.percentile(baseline, [25, 50, 75]), np.percentile(change, [25, 50, 75])
+    wins = sum(sign * (c - b) > 0 for b, c in zip(baseline, change))
+    return {
+        "better": better,
+        "baseline": {"median": q_base[1], "quartiles": [q_base[0], q_base[2]]},
+        "change": {"median": q_change[1], "quartiles": [q_change[0], q_change[2]]},
+        "median_ratio": q_change[1] / q_base[1] if q_base[1] else None,
+        "wins": wins,
+        "pairs": len(baseline),
+        "clear_gain": bool(wins >= 0.9 * len(baseline)
+                           and sign * (q_change[1] - q_base[1]) > q_base[2] - q_base[0]),
+    }
+
+
+def paired(benchmark: dict, commit: str, pairs: int, first_seed: int, workloads: list) -> dict:
+    """Alternating untraced runs of the working tree and of ``commit``'s ``src/``."""
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    results = {}
+    with tempfile.TemporaryDirectory() as base:
+        for tree, path in ((commit, "src"), ("HEAD", "perfbench")):
+            archive = subprocess.run(["git", "archive", tree, path], cwd=ROOT, capture_output=True,
+                                     check=True).stdout
+            subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        roots = {"baseline": Path(base), "change": ROOT}
+        for workload in workloads:
+            runs = []
+            for i in range(pairs):
+                order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+                pair = {"seed": first_seed + i, "first": order[0]}
+                for side in order:
+                    pair[side] = run(workload, seconds, 0, first_seed + i, roots[side])
+                runs.append(pair)
+                values = {side: pair[side]["result"]["metrics"]["report_s"]["value"] for side in order}
+                print(f"{workload} pair {i + 1}/{pairs} seed {first_seed + i}: report_s baseline "
+                      f"{values['baseline']:.3f}, change {values['change']:.3f}", file=sys.stderr)
+            metrics = {
+                name: summarize(*([pair[side]["result"]["metrics"][name]["value"] for pair in runs]
+                                  for side in ("baseline", "change")), direction)
+                for name, direction in better.items()
+            }
+            results[workload] = {"metrics": metrics, "runs": runs}
+        lines = {"baseline": source_lines(Path(base)), "change": source_lines()}
+    return {"workloads": results, "source_lines": lines}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    parser.add_argument("--against", metavar="COMMIT", help="set the working tree against COMMIT in pairs")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --against")
+    parser.add_argument("--seed", type=int, default=SEED + 1, help="first pair's seed with --against")
+    parser.add_argument("--workload", action="append", help="workload to pair (repeatable; default all)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    tracked = git("status", "--porcelain", "--untracked-files=no")
+    new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
+    if args.against:
+        names = [w["name"] for w in benchmark["workloads"]]
+        unknown = sorted(set(args.workload or ()) - set(names))
+        if unknown or args.pairs < 1:
+            parser.error(f"unknown workload {unknown}" if unknown else "--pairs must be >= 1")
+        record = {
+            "commit": git("rev-parse", "HEAD"),
+            "dirty": bool(tracked or new_sources),
+            "against": git("rev-parse", args.against),
+            "seconds": benchmark["run_seconds"],
+            "python": platform.python_version(),
+            "numpy": version("numpy"),
+            **paired(benchmark, args.against, args.pairs, args.seed, args.workload or names),
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        return 0
     seconds = benchmark["run_seconds"]
     runs = []
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -137,8 +225,6 @@ def main(argv=None) -> int:
         paper_config.append(entry)
         print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}, "
               f"min bulk ESS {entry['min_bulk_ess']:.0f}", file=sys.stderr)
-    tracked = git("status", "--porcelain", "--untracked-files=no")
-    new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     record = {
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(tracked or new_sources),

@@ -456,12 +456,11 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     keep_beta, keep_alpha, keep_delta = kept.beta, kept.alpha, kept.delta
     keep_sigma0, keep_sigma_a, keep_sigma_d, keep_df = kept.sigma0, kept.sigma_a, kept.sigma_d, kept.df
 
-    # buffers: one normal per location draw and translation move, each
-    # block's -rhs and den, and the squared residuals
+    # buffers: one normal per location draw and translation move, and each
+    # block's -rhs and den
     z = np.empty(1 + n_alg + n_ds + 2)
     z_effects, z_a, z_d = z[1:-2], z[1 : 1 + n_alg], z[1 + n_alg : -2]
     rhs_a, den_a, rhs_d, den_d = np.empty(n_alg), np.empty(n_alg), np.empty(n_ds), np.empty(n_ds)
-    fit, r2 = np.empty(n_alg), np.empty(y.shape)
     ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
 
     def lam_sums():
@@ -513,7 +512,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
         beta += t
         delta -= t
 
-        np.subtract(y, np.add(alpha, beta, out=fit), out=r2)
+        r2 = y - (beta + alpha)
         r2 -= delta_col
         r2 *= r2
 
