@@ -31,16 +31,14 @@ the recording with its standard error.
 of all of them: ``physical`` lines, and ``code`` lines, those that are not
 blank and do not start with ``#`` once stripped (docstrings count as code).
 
-    python3 bench/record.py --against COMMIT --pairs N --out PAIRS.json \
-        [--seed FIRST] [--workload NAME ...]
+    python3 bench/record.py --against COMMIT --pairs N --seed FIRST --out PAIRS.json
 
 instead sets the working tree against COMMIT in alternating pairs.  It
 extracts COMMIT's ``src/`` (``git archive COMMIT src | tar -x``) into a
 temporary directory beside HEAD's ``perfbench/``, so both sides run the same
-benchmark code, and runs each end-to-end workload (all of ``BENCHMARK.json``'s
-unless ``--workload`` names some) untraced, once on each tree per pair: pair
-``i`` runs seed ``FIRST + i`` on both trees, the baseline first in even pairs
-and the change first in odd ones.  Per workload and end-to-end metric it
+benchmark code, and runs each of ``BENCHMARK.json``'s workloads untraced,
+once on each tree per pair: pair ``i`` runs seed ``FIRST + i`` on both trees,
+the baseline first in even pairs and the change first in odd ones.  Per workload and end-to-end metric it
 records each side's median and quartiles, the median ratio (change over
 baseline), the pairs the change won (ties count for neither) and whether the
 gain is clear: won in at least nine tenths of the pairs, with the medians
@@ -153,7 +151,7 @@ def summarize(baseline: list, change: list, better: str) -> dict:
     }
 
 
-def paired(benchmark: dict, commit: str, pairs: int, first_seed: int, workloads: list) -> dict:
+def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
     """Alternating untraced runs of the working tree and of ``commit``'s ``src/``."""
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
@@ -164,7 +162,7 @@ def paired(benchmark: dict, commit: str, pairs: int, first_seed: int, workloads:
                                      check=True).stdout
             subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         roots = {"baseline": Path(base), "change": ROOT}
-        for workload in workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
             for i in range(pairs):
                 order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
@@ -191,17 +189,14 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="COMMIT", help="set the working tree against COMMIT in pairs")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --against")
     parser.add_argument("--seed", type=int, default=SEED + 1, help="first pair's seed with --against")
-    parser.add_argument("--workload", action="append", help="workload to pair (repeatable; default all)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     tracked = git("status", "--porcelain", "--untracked-files=no")
     new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
     if args.against:
-        names = [w["name"] for w in benchmark["workloads"]]
-        unknown = sorted(set(args.workload or ()) - set(names))
-        if unknown or args.pairs < 1:
-            parser.error(f"unknown workload {unknown}" if unknown else "--pairs must be >= 1")
+        if args.pairs < 1:
+            parser.error("--pairs must be >= 1")
         record = {
             "commit": git("rev-parse", "HEAD"),
             "dirty": bool(tracked or new_sources),
@@ -209,7 +204,7 @@ def main(argv=None) -> int:
             "seconds": benchmark["run_seconds"],
             "python": platform.python_version(),
             "numpy": version("numpy"),
-            **paired(benchmark, args.against, args.pairs, args.seed, args.workload or names),
+            **paired(benchmark, args.against, args.pairs, args.seed),
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         return 0
