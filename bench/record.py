@@ -34,9 +34,10 @@ blank and do not start with ``#`` once stripped (docstrings count as code).
     python3 bench/record.py --against COMMIT --pairs N --seed FIRST --out PAIRS.json
 
 instead sets the working tree against COMMIT in alternating pairs.  It
-extracts COMMIT's ``src/`` (``git archive COMMIT src | tar -x``) into a
-temporary directory beside HEAD's ``perfbench/``, so both sides run the same
-benchmark code, and runs each of ``BENCHMARK.json``'s workloads untraced,
+extracts COMMIT's ``src/`` (``git archive COMMIT src | tar -x``) into one
+temporary directory and copies the working tree's ``src/`` into another,
+each beside HEAD's ``perfbench/``, so both sides run the same benchmark code
+from paths of the same length, and runs each of ``BENCHMARK.json``'s workloads untraced,
 once on each tree per pair: pair ``i`` runs seed ``FIRST + i`` on both trees,
 the baseline first in even pairs and the change first in odd ones.  Per workload and end-to-end metric it
 records each side's median and quartiles, the median ratio (change over
@@ -52,6 +53,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -157,11 +159,16 @@ def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     results = {}
     with tempfile.TemporaryDirectory() as base:
-        for tree, path in ((commit, "src"), ("HEAD", "perfbench")):
+        # both trees at paths of one length: the environment's size and the
+        # working directory shift a process's memory layout, and so its speed
+        roots = {"baseline": Path(base) / "old", "change": Path(base) / "new"}
+        shutil.copytree(ROOT / "src", roots["change"] / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        for root, tree, path in ((roots["baseline"], commit, "src"), (roots["baseline"], "HEAD", "perfbench"),
+                                 (roots["change"], "HEAD", "perfbench")):
             archive = subprocess.run(["git", "archive", tree, path], cwd=ROOT, capture_output=True,
                                      check=True).stdout
-            subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
-        roots = {"baseline": Path(base), "change": ROOT}
+            root.mkdir(exist_ok=True)
+            subprocess.run(["tar", "-x", "-C", root], input=archive, check=True)
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
             for i in range(pairs):
@@ -179,7 +186,7 @@ def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
                 for name, direction in better.items()
             }
             results[workload] = {"metrics": metrics, "runs": runs}
-        lines = {"baseline": source_lines(Path(base)), "change": source_lines()}
+        lines = {side: source_lines(root) for side, root in roots.items()}
     return {"workloads": results, "source_lines": lines}
 
 
