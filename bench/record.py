@@ -163,11 +163,11 @@ def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
         # working directory shift a process's memory layout, and so its speed
         roots = {"baseline": Path(base) / "old", "change": Path(base) / "new"}
         shutil.copytree(ROOT / "src", roots["change"] / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        roots["baseline"].mkdir()
         for root, tree, path in ((roots["baseline"], commit, "src"), (roots["baseline"], "HEAD", "perfbench"),
                                  (roots["change"], "HEAD", "perfbench")):
             archive = subprocess.run(["git", "archive", tree, path], cwd=ROOT, capture_output=True,
                                      check=True).stdout
-            root.mkdir(exist_ok=True)
             subprocess.run(["tar", "-x", "-C", root], input=archive, check=True)
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
@@ -199,23 +199,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     tracked = git("status", "--porcelain", "--untracked-files=no")
     new_sources = git("status", "--porcelain", "--untracked-files=all", "--", "src")
+    record = {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(tracked or new_sources),
+        "seconds": seconds,
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+    }
     if args.against:
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
-        record = {
-            "commit": git("rev-parse", "HEAD"),
-            "dirty": bool(tracked or new_sources),
-            "against": git("rev-parse", args.against),
-            "seconds": benchmark["run_seconds"],
-            "python": platform.python_version(),
-            "numpy": version("numpy"),
-            **paired(benchmark, args.against, args.pairs, args.seed),
-        }
+        record.update(against=git("rev-parse", args.against),
+                      **paired(benchmark, args.against, args.pairs, args.seed))
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         return 0
-    seconds = benchmark["run_seconds"]
     runs = []
     for workload in (w["name"] for w in benchmark["workloads"]):
         for trace in (0, 1):
@@ -227,20 +227,9 @@ def main(argv=None) -> int:
         paper_config.append(entry)
         print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}, "
               f"min bulk ESS {entry['min_bulk_ess']:.0f}", file=sys.stderr)
-    record = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(tracked or new_sources),
-        "seeds": [SEED],
-        "seconds": seconds,
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "runs": runs,
-        "paper_config": paper_config,
-        "source_lines": source_lines(),
-    }
+    record.update(seeds=[SEED], runs=runs, paper_config=paper_config, source_lines=source_lines())
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
