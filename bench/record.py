@@ -31,14 +31,14 @@ the recording with its standard error.
 of all of them: ``physical`` lines, and ``code`` lines, those that are not
 blank and do not start with ``#`` once stripped (docstrings count as code).
 
-    python3 bench/record.py --against COMMIT --pairs N --seed FIRST --out PAIRS.json
+    python3 bench/record.py --against COMMIT --pairs N --out PAIRS.json
 
 instead sets the working tree against COMMIT in alternating pairs.  It
 extracts COMMIT's ``src/`` (``git archive COMMIT src | tar -x``) into one
 temporary directory and copies the working tree's ``src/`` into another,
 each beside HEAD's ``perfbench/``, so both sides run the same benchmark code
 from paths of the same length, and runs each of ``BENCHMARK.json``'s workloads untraced,
-once on each tree per pair: pair ``i`` runs seed ``FIRST + i`` on both trees,
+once on each tree per pair: pair ``i`` (from 0) runs seed ``2 + i`` on both trees,
 the baseline first in even pairs and the change first in odd ones.  Per workload and end-to-end metric it
 records each side's median and quartiles, the median ratio (change over
 baseline), the pairs the change won (ties count for neither) and whether the
@@ -153,7 +153,7 @@ def summarize(baseline: list, change: list, better: str) -> dict:
     }
 
 
-def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
+def paired(benchmark: dict, commit: str, pairs: int) -> dict:
     """Alternating untraced runs of the working tree and of ``commit``'s ``src/``."""
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
@@ -171,14 +171,14 @@ def paired(benchmark: dict, commit: str, pairs: int, first_seed: int) -> dict:
             subprocess.run(["tar", "-x", "-C", root], input=archive, check=True)
         for workload in (w["name"] for w in benchmark["workloads"]):
             runs = []
-            for i in range(pairs):
+            for i, seed in enumerate(range(SEED + 1, SEED + 1 + pairs)):
                 order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
-                pair = {"seed": first_seed + i, "first": order[0]}
+                pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(workload, seconds, 0, first_seed + i, roots[side])
+                    pair[side] = run(workload, seconds, 0, seed, roots[side])
                 runs.append(pair)
                 values = {side: pair[side]["result"]["metrics"]["report_s"]["value"] for side in order}
-                print(f"{workload} pair {i + 1}/{pairs} seed {first_seed + i}: report_s baseline "
+                print(f"{workload} pair {i + 1}/{pairs} seed {seed}: report_s baseline "
                       f"{values['baseline']:.3f}, change {values['change']:.3f}", file=sys.stderr)
             metrics = {
                 name: summarize(*([pair[side]["result"]["metrics"][name]["value"] for pair in runs]
@@ -195,7 +195,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--against", metavar="COMMIT", help="set the working tree against COMMIT in pairs")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --against")
-    parser.add_argument("--seed", type=int, default=SEED + 1, help="first pair's seed with --against")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
         record.update(against=git("rev-parse", args.against),
-                      **paired(benchmark, args.against, args.pairs, args.seed))
+                      **paired(benchmark, args.against, args.pairs))
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         return 0
     runs = []
@@ -230,6 +229,7 @@ def main(argv=None) -> int:
     record.update(seeds=[SEED], runs=runs, paper_config=paper_config, source_lines=source_lines())
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
