@@ -23,7 +23,9 @@ median kernel time over its reference time, as for the workload runs.
 The draws depend only on the seed, so a second, untimed run of the same
 command adds ``--save``; ``min_bulk_ess`` is the smallest bulk ESS of
 perfbench's reference ``convergence`` over every scalar parameter of those
-draws, and ``ess_per_s`` is ``min_bulk_ess`` over ``wall_s``.
+draws, ``ess_per_s`` is ``min_bulk_ess`` over ``wall_s``, and
+``min_alpha_diff_ess`` is the smallest such ESS over the differences
+alpha_i - alpha_j of every pair of algorithms, which the ROPE matrix reads.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
 
@@ -49,6 +51,7 @@ and ``source_lines`` is counted for both trees.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -118,12 +121,16 @@ def paper_config_run(variant: str) -> dict:
         bayes()
         seconds = time.perf_counter() - start
         probe.stop()
-        draws = Path(work) / "draws.bin"
-        bayes("--save", str(draws))
-        ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in load_draws(draws).scalar_chains())
+        saved = Path(work) / "draws.bin"
+        bayes("--save", str(saved))
+        draws = load_draws(saved)
+        ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in draws.scalar_chains())
+        alpha = draws.block[:, 1 : 1 + len(draws.algorithms)]
+        diff_ess = min(reference.convergence(alpha[:, i] - alpha[:, j])[1]
+                       for i, j in itertools.combinations(range(alpha.shape[1]), 2))
     factor = statistics.median(probe.samples) / KERNEL_REF_S
     return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor,
-            "min_bulk_ess": ess, "ess_per_s": ess / seconds}
+            "min_bulk_ess": ess, "ess_per_s": ess / seconds, "min_alpha_diff_ess": diff_ess}
 
 
 def source_lines(root: Path = ROOT) -> dict:
@@ -225,7 +232,8 @@ def main(argv=None) -> int:
         entry = paper_config_run(variant)
         paper_config.append(entry)
         print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}, "
-              f"min bulk ESS {entry['min_bulk_ess']:.0f}", file=sys.stderr)
+              f"min bulk ESS {entry['min_bulk_ess']:.0f}, min alpha-difference ESS "
+              f"{entry['min_alpha_diff_ess']:.0f}", file=sys.stderr)
     record.update(seeds=[SEED], runs=runs, paper_config=paper_config, source_lines=source_lines())
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

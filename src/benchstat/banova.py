@@ -222,10 +222,14 @@ class PosteriorDraws:
 
     def scalar_chains(self):
         """(name, (n_chains, n) view of ``block``) for every monitored scalar
-        parameter, in column order; a normal block has no df column to pair."""
-        names = ["beta", *(f"alpha[{a}]" for a in self.algorithms),
-                 *(f"delta[{d}]" for d in self.datasets), "sigma0", "sigma_a", "sigma_d", "df"]
-        return zip(names, self.block.swapaxes(0, 1))
+        parameter, in column order."""
+        return zip(_column_names(self.variant, self.algorithms, self.datasets), self.block.swapaxes(0, 1))
+
+
+def _column_names(variant: str, algorithms, datasets) -> list:
+    """The monitored scalar parameters, in draws-block column order."""
+    return ["beta", *(f"alpha[{a}]" for a in algorithms), *(f"delta[{d}]" for d in datasets),
+            "sigma0", "sigma_a", "sigma_d", *(["df"] if variant == "robust" else [])]
 
 
 def _digest(m: AggregatedMatrix) -> str:
@@ -462,13 +466,15 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     z_effects, z_a, z_d = z[1:-2], z[1 : 1 + n_alg], z[1 + n_alg : -2]
     rhs_a, den_a, rhs_d, den_d = np.empty(n_alg), np.empty(n_alg), np.empty(n_ds), np.empty(n_ds)
     ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
+    # and the cell matrices lam*y and the squared residuals
+    ly, r2 = np.empty_like(y), np.empty_like(y)
 
     def lam_sums():
-        ly = lam * y
-        np.dot(ones_d, ly, out=aug_a[0])
-        np.dot(ones_d, lam, out=col_l)
-        np.dot(ly, ones_a, out=aug_d[0])
-        np.dot(lam, ones_a, out=row_l)
+        np.multiply(lam, y, out=ly)
+        ones_d.dot(ly, aug_a[0])
+        ones_d.dot(lam, col_l)
+        ly.dot(ones_a, aug_d[0])
+        lam.dot(ones_a, row_l)
         aug_d[2:] = lam.T
         return float(np.add.reduce(col_l)), float(np.add.reduce(aug_a[0]))
 
@@ -479,20 +485,20 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         # beta | rest
         prec = sum_l * inv_s0sq + beta_prec0
-        swr = sum_ly - float(np.dot(col_l, alpha)) - float(np.dot(row_l, delta))
+        swr = sum_ly - float(col_l.dot(alpha)) - float(row_l.dot(delta))
         beta = (swr * inv_s0sq + beta_mean * beta_prec0) / prec + z.item(0) / math.sqrt(prec)
         vec_a[1] = vec_d[1] = beta
 
         # alpha | rest (conditionally independent across algorithms), then
         # delta | rest: (sigma0 sqrt(den) z - (-rhs))/den, written in place
         z_effects *= sigma0
-        np.dot(vec_a, aug_a, out=rhs_a)
+        vec_a.dot(aug_a, rhs_a)
         np.add(col_l, (sigma0 / sigma_a) ** 2, out=den_a)
         np.sqrt(den_a, out=alpha)
         alpha *= z_a
         alpha -= rhs_a
         alpha /= den_a
-        np.dot(vec_d, aug_d, out=rhs_d)
+        vec_d.dot(aug_d, rhs_d)
         np.add(row_l, (sigma0 / sigma_d) ** 2, out=den_d)
         np.sqrt(den_d, out=delta)
         delta *= z_d
@@ -512,7 +518,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
         beta += t
         delta -= t
 
-        r2 = y - (beta + alpha)
+        np.subtract(y, beta + alpha, out=r2)
         r2 -= delta_col
         r2 *= r2
 
@@ -523,10 +529,10 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         # sigma_a, sigma_d | rest: Gamma(mode/sd) prior on the scale itself
         if cfg.fixed_sigma_a is None:
-            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, float(np.dot(alpha, alpha)))
+            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, float(alpha.dot(alpha)))
             proposals["sigma_a"] = proposals.get("sigma_a", 0) + m
         if cfg.fixed_sigma_d is None:
-            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, float(np.dot(delta, delta)))
+            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, float(delta.dot(delta)))
             proposals["sigma_d"] = proposals.get("sigma_d", 0) + m
 
         if robust:
@@ -633,12 +639,14 @@ def run_chains(
                 raise ComputationError(f"a chain's worker process died: {exc}") from None
     else:
         counters = [_run_chain(*job) for job in jobs]
-    # map effect rows back to the caller's ordering, one chain at a time
-    inv_a = 1 + np.argsort(perm_a)
-    inv_d = 1 + n_alg + np.argsort(perm_d)
-    for rows in block:
-        rows[1 : 1 + n_alg] = rows[inv_a]
-        rows[1 + n_alg : 1 + n_alg + n_ds] = rows[inv_d]
+    # map effect rows back to the caller's ordering, one chain at a time;
+    # ingest sorts labels, so CLI input is already in canonical order
+    if (perm_a != np.arange(n_alg)).any() or (perm_d != np.arange(n_ds)).any():
+        inv_a = 1 + np.argsort(perm_a)
+        inv_d = 1 + n_alg + np.argsort(perm_d)
+        for rows in block:
+            rows[1 : 1 + n_alg] = rows[inv_a]
+            rows[1 + n_alg : 1 + n_alg + n_ds] = rows[inv_d]
     draws.meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
@@ -746,7 +754,7 @@ def load_draws(path) -> PosteriorDraws:
     file name: v2 is the binary block written by :func:`save_draws`; v1, the
     earlier text format, is still read but no longer written.  An unreadable
     file, a bad header or a block that does not match the header's
-    dimensions is an :class:`InputError`.
+    dimensions or that holds a NaN or infinite draw is an :class:`InputError`.
     """
     try:
         fh = open(path, "rb")
@@ -775,18 +783,31 @@ def load_draws(path) -> PosteriorDraws:
                 f"draws file {path}: header has variant {variant!r}, {n_chains} chains and "
                 f"{per_chain} draws per chain; expected normal or robust and at least 1 each"
             )
-        n_cols = 1 + len(algorithms) + len(datasets) + 3 + (variant == "robust")
+        names = _column_names(variant, algorithms, datasets)
         read = _read_v1_rows if version == "v1" else _read_v2_block
-        block = read(fh, path, (n_chains, per_chain, n_cols))
+        block = read(fh, path, (n_chains, per_chain, len(names)), names)
     return PosteriorDraws(variant, algorithms, datasets, block, header.get("meta", {}))
 
 
-def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
+def _check_finite(path, chain: int, draws: np.ndarray, first: int, names: list):
+    """Raise InputError naming the first NaN or infinite value of ``draws``
+    (draws x columns, the first of them draw ``first`` of ``chain``)."""
+    if np.isfinite(draws).all():
+        return
+    draw, column = np.argwhere(~np.isfinite(draws))[0]
+    raise InputError(
+        f"draws file {path}: chain {chain}, draw {first + draw} (both counted from 0), "
+        f"parameter {names[column]} is {float(draws[draw, column])!r}; every draw must be finite"
+    )
+
+
+def _read_v2_block(fh, path, shape: tuple, names: list) -> np.ndarray:
     """The float64 block after a v2 header, as a (chain, column, draw) block.
 
     The block is checked against ``shape`` and read a slice of draws at a
     time into the layout that :func:`run_chains` fills, so the loaded effect
-    draws are column-major too.
+    draws are column-major too.  Each slice is checked for non-finite values
+    as it is read.
     """
     want = 8 * math.prod(shape)
     found = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -799,15 +820,16 @@ def _read_v2_block(fh, path, shape: tuple) -> np.ndarray:
     block = _draws_block((n_chains, n_cols, per_chain))
     step = max(1, (1 << 17) // n_cols)  # draws per read: about 1 MB
     buf = np.empty((min(step, per_chain), n_cols), dtype="<f8")
-    for rows in block:
+    for ci, rows in enumerate(block):
         for start in range(0, per_chain, step):
             part = buf[: min(step, per_chain - start)]
             fh.readinto(part.data)
+            _check_finite(path, ci, part, start, names)
             rows[:, start : start + len(part)] = part.T
     return block
 
 
-def _read_v1_rows(fh, path, shape: tuple) -> np.ndarray:
+def _read_v1_rows(fh, path, shape: tuple, names: list) -> np.ndarray:
     """The (chain, column, draw) block of the rows of a v1 text file after its
     header line (legacy, read-only).
 
@@ -836,5 +858,6 @@ def _read_v1_rows(fh, path, shape: tuple) -> np.ndarray:
             raise InputError(
                 f"draws file {path}: chain {ci} has {len(rows)} draws, want {shape[1]}"
             )
+        _check_finite(path, ci, rows, 0, names)
         columns[:] = rows.T
     return block

@@ -25,20 +25,16 @@ def psrf(chains, split: bool = False) -> Optional[float]:
     if split:
         half = x.shape[1] // 2
         x = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
-    m, n = x.shape
+    _check_chains(*x.shape)
+    return _defined(_moments(x[None])[0][0])
+
+
+def _check_chains(m: int, n: int):
+    """R-hat needs at least 2 chains of at least 2 draws each."""
     if m < 2:
         raise InputError("psrf requires at least 2 chains")
     if n < 2:
         raise InputError("psrf requires chains of length >= 2")
-
-    chain_means = x.mean(axis=1)
-    chain_vars = x.var(axis=1, ddof=1)
-    w = float(chain_vars.mean())
-    b_over_n = float(chain_means.var(ddof=1))  # = B/n
-    if w == 0.0:
-        return None
-    var_plus = (n - 1) / n * w + b_over_n
-    return float(np.sqrt(var_plus / w))
 
 
 # Lags computed as direct products, at every chain length, before a row's
@@ -93,27 +89,68 @@ def _direct_tau(x: np.ndarray, acov0: np.ndarray) -> np.ndarray:
 def _chain_ess(x: np.ndarray) -> np.ndarray:
     """ESS of each chain (row of ``x``) via Geyer's initial positive sequence,
     with tau from :func:`_direct_tau` at every chain length."""
-    n = x.shape[-1]
     x = x - x.mean(axis=-1, keepdims=True)
     acov0 = (x * x).sum(axis=-1)
     if not acov0.all():
         raise InputError("effective sample size undefined for a constant chain")
+    return _centred_ess(x, acov0)
+
+
+def _centred_ess(x: np.ndarray, acov0: np.ndarray) -> np.ndarray:
+    """:func:`_chain_ess` of rows already centred, with lag-0 products ``acov0``."""
+    n = x.shape[-1]
     tau = _direct_tau(x.reshape(-1, n), acov0.reshape(-1)).reshape(x.shape[:-1])
     return n / np.maximum(tau, 1.0 / n)
 
 
-def effective_sample_size(chains) -> float:
-    """Total ESS across chains (per-chain autocorrelation, summed).
+def _moments(x: np.ndarray, work: np.ndarray = None) -> tuple:
+    """(R-hat, ESS) of each parameter of a (parameters, chains, draws) batch.
 
-    Capped at S log10(S) for S draws in all, as Stan caps it: a short chain
-    whose pair sums never turn nonpositive would otherwise report n^2.
+    Each chain is centred once, into ``work``, a float64 buffer of shape
+    (2,) + ``x.shape`` (allocated here if not given).  W is the mean over
+    chains of acov0/(n-1), acov0 a chain's lag-0 product, so that acov0/(n-1)
+    is the chain's var(ddof=1); B/n is the var(ddof=1) of the chain means,
+    and R-hat sqrt(Var+/W) as in :func:`psrf`.  ESS is the per-chain Geyer
+    ESS summed over chains, every chain's tau from one :func:`_direct_tau`
+    call, capped at S log10(S) for S draws of a parameter in all, as Stan
+    caps it: a short chain whose pair sums never turn nonpositive would
+    otherwise report n^2.  R-hat is NaN where every chain of a parameter is
+    constant, ESS where any is.
     """
+    n_params, m, n = x.shape
+    if work is None:
+        work = np.empty((2,) + x.shape)
+    means = x.mean(axis=-1, keepdims=True)
+    x = np.subtract(x, means, out=work[0])  # C order: every reduction runs along a row
+    acov0 = np.multiply(x, x, out=work[1]).sum(axis=-1)
+    w = (acov0 / (n - 1)).mean(axis=-1)
+    var_plus = (n - 1) / n * w + means[..., 0].var(axis=-1, ddof=1)
+    r_hat = np.sqrt(np.divide(var_plus, w, out=np.full(n_params, np.nan), where=w != 0.0))
+    ess = np.full(n_params, np.nan)
+    ok = acov0.all(axis=-1)
+    if ok.any():
+        if not ok.all():
+            x, acov0 = x[ok], acov0[ok]
+        ess[ok] = np.minimum(_centred_ess(x, acov0).sum(axis=-1), m * n * np.log10(m * n))
+    return r_hat, ess
+
+
+def _defined(value) -> Optional[float]:
+    return None if np.isnan(value) else float(value)
+
+
+def effective_sample_size(chains) -> float:
+    """Total ESS across chains (per-chain autocorrelation, summed), capped at
+    S log10(S) for S draws in all (see :func:`_moments`)."""
     x = np.asarray(chains, dtype=float)
     if x.ndim != 2:
         raise InputError("effective_sample_size expects a 2-D (chains x draws) array")
     if x.shape[0] < 2:
         raise InputError("effective_sample_size requires at least 2 chains")
-    return float(min(_chain_ess(x).sum(), x.size * np.log10(x.size)))
+    ess = _defined(_moments(x[None])[1][0])
+    if ess is None:
+        raise InputError("effective sample size undefined for a constant chain")
+    return ess
 
 
 @dataclass
@@ -123,15 +160,25 @@ class DiagnosticRow:
     ess: Optional[float]
 
 
+# draws per batch of diagnostics columns: about 1 MB, as _read_v2_block reads
+# them, and at most a sixteenth of the block, so that the centred batch, its
+# squares and the rows still live in _direct_tau stay small beside the draws
+_BATCH_DRAWS = 1 << 17
+
+
 def diagnostic_report(draws: PosteriorDraws):
-    """One (name, R-hat, ESS) row per monitored scalar parameter."""
+    """One (name, R-hat, ESS) row per monitored scalar parameter, computed
+    over batches of columns of ``draws.block`` in one reused work buffer."""
+    m, n_cols, n = draws.block.shape
+    _check_chains(m, n)
+    step = max(1, min(_BATCH_DRAWS // (m * n), n_cols // 16))
+    names = [name for name, _ in draws.scalar_chains()]
+    work = np.empty((2, step, m, n))
     rows = []
-    for name, chains in draws.scalar_chains():
-        try:
-            ess = effective_sample_size(chains)
-        except InputError:
-            ess = None
-        rows.append(DiagnosticRow(name, psrf(chains), ess))
+    for start in range(0, n_cols, step):
+        x = draws.block[:, start : start + step].swapaxes(0, 1)
+        r_hat, ess = _moments(x, work[:, : len(x)])
+        rows += map(DiagnosticRow, names[start : start + step], map(_defined, r_hat), map(_defined, ess))
     return rows
 
 

@@ -4,11 +4,13 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from benchstat import SynthSpec, banova, generate_synthetic, load_draws
@@ -225,6 +227,19 @@ class TestBayesCommand:
         assert "has 400 draws, header wants 1000000000000000000000000 " in err
         assert f"({10**12} chains x {10**12} draws)" in err
 
+    @pytest.mark.parametrize("keep, message", [
+        ((slice(0, 1), slice(None)), "psrf requires at least 2 chains"),
+        ((slice(None), slice(0, 1)), "psrf requires chains of length >= 2"),
+    ])
+    def test_too_few_chains_or_draws_exit_2(self, tmp_path, keep, message, capsys):
+        # the header allows 1 chain and 1 draw; R-hat needs 2 of each
+        legacy = load_draws(GOLDEN / "legacy-v1.draws")
+        block = legacy.block[keep[0], :, keep[1]].copy()
+        path = tmp_path / "few.draws"
+        banova.save_draws(banova.PosteriorDraws("normal", legacy.algorithms, legacy.datasets, block), path)
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_load_with_other_labels_exit_2(self, synth_csv, capsys):
         # the golden draws were sampled on the golden error table's labels
         assert main(["bayes", synth_csv, "--load", str(GOLDEN / "legacy-v1.draws")]) == 2
@@ -360,6 +375,61 @@ class TestPpcCommand:
         assert main(["bayes", synth_csv, "--load", "/nonexistent/draws.csv"]) == 2
         err = capsys.readouterr().err
         assert "not found" in err and "Errno" not in err
+
+
+class TestNonFiniteDraws:
+    """A draws file that holds a NaN or an infinity is an input error (exit
+    2) naming the file and the chain, draw and parameter of the first one;
+    the golden table's labels put delta[ds02] in column 7 of 21."""
+
+    @staticmethod
+    def v2_draws(tmp_path, value, chain, draw, column):
+        legacy = load_draws(GOLDEN / "legacy-v1.draws")
+        # 6,400 draws per chain: more than one read of about 1 MB holds
+        block = np.tile(legacy.block, 32)
+        path = tmp_path / "bad.draws"
+        banova.save_draws(banova.PosteriorDraws("normal", legacy.algorithms, legacy.datasets, block), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\n") + 1 + 8 * ((chain * block.shape[2] + draw) * block.shape[1] + column)
+        raw[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(raw)
+        return str(path)
+
+    @staticmethod
+    def message(path, chain, draw, parameter, value):
+        return (f"error: draws file {path}: chain {chain}, draw {draw} (both counted from 0), "
+                f"parameter {parameter} is {value!r}; every draw must be finite\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_bayes_load_exit_2(self, tmp_path, value, capsys):
+        path = self.v2_draws(tmp_path, value, 1, 17, 7)
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.message(path, 1, 17, "delta[ds02]", value)
+
+    def test_in_a_later_read_exit_2(self, tmp_path, capsys):
+        path = self.v2_draws(tmp_path, math.inf, 0, 6300, 20)
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", path]) == 2
+        assert capsys.readouterr().err == self.message(path, 0, 6300, "sigma_d", math.inf)
+
+    def test_ppc_exit_2(self, tmp_path, capsys):
+        path = self.v2_draws(tmp_path, math.nan, 1, 17, 7)
+        assert main(["ppc", path, str(GOLDEN / "errors.csv"), "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.message(path, 1, 17, "delta[ds02]", math.nan)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_v1_exit_2(self, tmp_path, value, capsys):
+        header, columns, *rows = (GOLDEN / "legacy-v1.draws").read_text().splitlines(True)
+        fields = rows[200 + 17].split(",")  # chain 1, draw 17; field 0 is the chain
+        fields[1 + 7] = value
+        rows[200 + 17] = ",".join(fields)
+        path = tmp_path / "bad-v1.draws"
+        path.write_text(header + columns + "".join(rows))
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]) == 2
+        assert capsys.readouterr().err == self.message(path, 1, 17, "delta[ds02]", float(value))
 
 
 class TestTimingCommand:

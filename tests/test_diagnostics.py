@@ -20,7 +20,8 @@ from benchstat import (
 )
 from benchstat.banova import PosteriorDraws
 from benchstat.data import AggregatedMatrix
-from benchstat.diagnostics import _DIRECT_LAGS, _chain_ess
+from benchstat import diagnostics
+from benchstat.diagnostics import _DIRECT_LAGS, DiagnosticRow, _chain_ess
 
 
 def geyer_ess_loop(x):
@@ -311,8 +312,40 @@ class TestDiagnosticReport:
             assert row.ess == pytest.approx(expected, rel=1e-12)
             assert row.r_hat == psrf(chains)
 
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_batched_rows_equal_per_parameter_calls(self, variant, monkeypatch):
+        # 42 datasets: the last batch of columns is shorter than the others;
+        # beta alternates, so its pair sums stay positive to the last of 63
+        # lags and its rows take the FFT
+        _, draws = small_fit(variant=variant, n_ds=42, kept=63)
+        draws.block[:, 0] += (-1.0) ** np.arange(63)
+        draws.block[:, 2] = 0.25  # alpha[a1] constant: R-hat and ESS undefined
+        draws.block[1, 5] = 1.5  # one constant chain of delta[d1]: ESS undefined
+        batches = []
+        moments = diagnostics._moments
+
+        def recorded(x, work):
+            batches.append(len(x))
+            return moments(x, work)
+
+        monkeypatch.setattr(diagnostics, "_moments", recorded)
+        calls = count_rfft(monkeypatch)
+        rows = diagnostic_report(draws)
+        monkeypatch.undo()
+        assert calls and len(batches) > 1 and 0 < batches[-1] < batches[0] == max(batches)
+        expected = []
+        for name, chains in draws.scalar_chains():
+            try:
+                ess = effective_sample_size(chains)
+            except InputError:
+                ess = None
+            expected.append(repr(DiagnosticRow(name, psrf(chains), ess)))
+        assert list(map(repr, rows)) == expected
+        assert (rows[2].r_hat, rows[2].ess) == (None, None)
+        assert rows[5].r_hat is not None and rows[5].ess is None
+
     def test_peak_memory_stays_near_the_held_draws(self):
-        # the report takes one parameter's chains at a time, not all of them
+        # the report takes a few columns of chains at a time, not all of them
         rng = np.random.default_rng(9)
         n_alg, n_ds, n = 6, 40, 2000
         block = rng.standard_normal((4, 1 + n_alg + n_ds + 3, n))

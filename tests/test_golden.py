@@ -69,9 +69,9 @@ CASES = _cases()
 # benchstat's code: a change that rounds the draws differently says so and
 # updates them.  They were taken with numpy 2.4.6 on x86_64, its bundled
 # scipy-openblas 0.3.31 (DYNAMIC_ARCH) dispatching to the SkylakeX kernels.
-# Another BLAS kernel may round the sweep's np.dot differently in the last
-# bit; the report bytes and test_banova's TestReferenceSweep, which compare to
-# printed digits and to 1e-10, still hold there.
+# Another BLAS kernel may round the sweep's dot products differently in the
+# last bit; the report bytes and test_banova's TestReferenceSweep, which
+# compare to printed digits and to 1e-10, still hold there.
 BLOCK_SHA256 = {
     "bayes-csv": "7f9f7784ac8b2108841985bd45ccdd5848b065c1127022406d02ccaa48acf11e",
     "bayes-robust-csv": "0f9710d58d2dc2afa765251ee006ecd8a5f02f99dc0f7f435c46b31cf4056133",
