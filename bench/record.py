@@ -45,8 +45,12 @@ the baseline first in even pairs and the change first in odd ones.  Per workload
 records each side's median and quartiles, the median ratio (change over
 baseline), the pairs the change won (ties count for neither) and whether the
 gain is clear: won in at least nine tenths of the pairs, with the medians
-further apart than the baseline's quartiles.  Every run's JSON line is kept,
-and ``source_lines`` is counted for both trees.
+further apart than the baseline's quartiles.  Each pair then times one
+``bayes --paper-config --seed 1`` run per variant on each tree, in the
+workloads' alternating order, and records each side's ``wall_s`` the same
+way; the seed is fixed, so ``min_bulk_ess`` (with ``ess_per_s`` and
+``min_alpha_diff_ess``) is taken once per side, in the first pair.  Every
+run's JSON line is kept, and ``source_lines`` is counted for both trees.
 """
 from __future__ import annotations
 
@@ -101,19 +105,22 @@ def run(workload: str, seconds: float, trace: int, seed: int = SEED, root: Path 
     }
 
 
-def paper_config_run(variant: str) -> dict:
+def paper_config_run(variant: str, root: Path = ROOT, with_ess: bool = True) -> dict:
+    """One timed ``bayes --paper-config`` run of the checkout at ``root``; with
+    ``with_ess``, also the ESS of the draws of an untimed ``--save`` run."""
     with tempfile.TemporaryDirectory() as work:
         table = Path(work) / "table.csv"
         table.write_text(tables.bayes_table(SEED, variant == "robust"))
         argv = [sys.executable, "-m", "benchstat.cli", "bayes", str(table), "--variant", variant,
                 "--paper-config", "--seed", str(SEED), "--out", str(Path(work) / "report.csv")]
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
 
         def bayes(*extra):
-            done = subprocess.run([*argv, *extra], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+            done = subprocess.run([*argv, *extra], cwd=root, env={**os.environ, "PYTHONPATH": path},
                                   capture_output=True, text=True)
             if done.returncode != 0:
-                raise SystemExit(f"bayes --variant {variant} --paper-config exited {done.returncode}:\n{done.stderr}")
+                raise SystemExit(f"bayes --variant {variant} --paper-config in {root} exited "
+                                 f"{done.returncode}:\n{done.stderr}")
 
         probe = SpeedProbe()
         probe.start()
@@ -121,16 +128,18 @@ def paper_config_run(variant: str) -> dict:
         bayes()
         seconds = time.perf_counter() - start
         probe.stop()
-        saved = Path(work) / "draws.bin"
-        bayes("--save", str(saved))
-        draws = load_draws(saved)
-        ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in draws.scalar_chains())
-        alpha = draws.block[:, 1 : 1 + len(draws.algorithms)]
-        diff_ess = min(reference.convergence(alpha[:, i] - alpha[:, j])[1]
-                       for i, j in itertools.combinations(range(alpha.shape[1]), 2))
-    factor = statistics.median(probe.samples) / KERNEL_REF_S
-    return {"variant": variant, "seed": SEED, "wall_s": seconds, "speed_factor": factor,
-            "min_bulk_ess": ess, "ess_per_s": ess / seconds, "min_alpha_diff_ess": diff_ess}
+        entry = {"variant": variant, "seed": SEED, "wall_s": seconds,
+                 "speed_factor": statistics.median(probe.samples) / KERNEL_REF_S}
+        if with_ess:
+            saved = Path(work) / "draws.bin"
+            bayes("--save", str(saved))
+            draws = load_draws(saved)
+            ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in draws.scalar_chains())
+            alpha = draws.block[:, 1 : 1 + len(draws.algorithms)]
+            diff_ess = min(reference.convergence(alpha[:, i] - alpha[:, j])[1]
+                           for i, j in itertools.combinations(range(alpha.shape[1]), 2))
+            entry.update(min_bulk_ess=ess, ess_per_s=ess / seconds, min_alpha_diff_ess=diff_ess)
+    return entry
 
 
 def source_lines(root: Path = ROOT) -> dict:
@@ -193,8 +202,27 @@ def paired(benchmark: dict, commit: str, pairs: int) -> dict:
                 for name, direction in better.items()
             }
             results[workload] = {"metrics": metrics, "runs": runs}
+        paper = {variant: [] for variant in ("normal", "robust")}
+        for i in range(pairs):
+            order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+            for variant, runs in paper.items():
+                runs.append({"first": order[0]})
+                for side in order:
+                    runs[-1][side] = paper_config_run(variant, roots[side], with_ess=i == 0)
+                print(f"bayes --paper-config {variant} pair {i + 1}/{pairs}: wall_s baseline "
+                      f"{runs[-1]['baseline']['wall_s']:.2f}, change {runs[-1]['change']['wall_s']:.2f}",
+                      file=sys.stderr)
+        paper_config = {
+            variant: {
+                "wall_s": summarize(*([pair[side]["wall_s"] for pair in runs] for side in ("baseline", "change")),
+                                    "lower"),
+                "min_bulk_ess": {side: runs[0][side]["min_bulk_ess"] for side in ("baseline", "change")},
+                "runs": runs,
+            }
+            for variant, runs in paper.items()
+        }
         lines = {side: source_lines(root) for side, root in roots.items()}
-    return {"workloads": results, "source_lines": lines}
+    return {"workloads": results, "paper_config": paper_config, "source_lines": lines}
 
 
 def main(argv=None) -> int:

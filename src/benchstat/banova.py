@@ -568,11 +568,6 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 _worker_jobs = []  # a forked worker's copy of run_chains' jobs, inherited, never pickled
 
 
-def _set_worker_jobs(jobs):
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
 def _worker_job(c: int) -> dict:
     """Chain ``c`` in a forked worker: its draws land in the shared block,
     only its counters go back."""
@@ -630,7 +625,7 @@ def run_chains(
         with concurrent.futures.ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_jobs,
+            initializer=_worker_jobs.extend,
             initargs=(jobs,),  # inherited through fork, not pickled
         ) as pool:
             try:
@@ -723,6 +718,20 @@ def _draws_block(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype="<f8").reshape(shape)
 
 
+# save_draws and _read_v2_block walk a block in slices of about 1 MB of draws: a
+# (columns, draws) view of it and one reused C-order (draws, columns) buffer
+_SLICE_DRAWS = 1 << 17
+
+
+def _slices(block: np.ndarray):
+    """(chain, first draw, view, buffer) of each slice of ``block``, in v2 file order."""
+    step = max(1, _SLICE_DRAWS // block.shape[1])
+    buf = np.empty((min(step, block.shape[2]), block.shape[1]), dtype="<f8")
+    for chain, rows in enumerate(block):
+        for first in range(0, block.shape[2], step):
+            yield chain, first, rows[:, first : first + step], buf[: block.shape[2] - first]
+
+
 def save_draws(p: PosteriorDraws, path):
     """Write draws to a self-describing binary file (format v2).
 
@@ -743,8 +752,9 @@ def save_draws(p: PosteriorDraws, path):
     }
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC} v2 {json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
-        for chain in p.block:
-            fh.write(memoryview(np.ascontiguousarray(chain.T, dtype="<f8")))
+        for _, _, part, rows in _slices(p.block):
+            rows[:] = part.T
+            fh.write(rows.data)
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -778,6 +788,9 @@ def load_draws(path) -> PosteriorDraws:
             n_chains, per_chain = int(header["n_chains"]), int(header["draws_per_chain"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"draws file {path}: malformed header ({exc!r})") from None
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise InputError(f"draws file {path}: malformed header (meta {json.dumps(meta)} is not an object)")
         if variant not in ("normal", "robust") or n_chains < 1 or per_chain < 1:
             raise InputError(
                 f"draws file {path}: header has variant {variant!r}, {n_chains} chains and "
@@ -786,7 +799,7 @@ def load_draws(path) -> PosteriorDraws:
         names = _column_names(variant, algorithms, datasets)
         read = _read_v1_rows if version == "v1" else _read_v2_block
         block = read(fh, path, (n_chains, per_chain, len(names)), names)
-    return PosteriorDraws(variant, algorithms, datasets, block, header.get("meta", {}))
+    return PosteriorDraws(variant, algorithms, datasets, block, meta)
 
 
 def _check_finite(path, chain: int, draws: np.ndarray, first: int, names: list):
@@ -804,10 +817,10 @@ def _check_finite(path, chain: int, draws: np.ndarray, first: int, names: list):
 def _read_v2_block(fh, path, shape: tuple, names: list) -> np.ndarray:
     """The float64 block after a v2 header, as a (chain, column, draw) block.
 
-    The block is checked against ``shape`` and read a slice of draws at a
-    time into the layout that :func:`run_chains` fills, so the loaded effect
-    draws are column-major too.  Each slice is checked for non-finite values
-    as it is read.
+    The block is checked against ``shape`` and read by :func:`_slices` into
+    the layout that :func:`run_chains` fills, so the loaded effect draws are
+    column-major too.  Each slice is checked for non-finite values as it is
+    read.
     """
     want = 8 * math.prod(shape)
     found = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -816,16 +829,11 @@ def _read_v2_block(fh, path, shape: tuple, names: list) -> np.ndarray:
             f"draws file {path}: float64 block has {found} bytes, header wants {want} "
             f"({shape[0]} chains x {shape[1]} draws x {shape[2]} columns x 8)"
         )
-    n_chains, per_chain, n_cols = shape
-    block = _draws_block((n_chains, n_cols, per_chain))
-    step = max(1, (1 << 17) // n_cols)  # draws per read: about 1 MB
-    buf = np.empty((min(step, per_chain), n_cols), dtype="<f8")
-    for ci, rows in enumerate(block):
-        for start in range(0, per_chain, step):
-            part = buf[: min(step, per_chain - start)]
-            fh.readinto(part.data)
-            _check_finite(path, ci, part, start, names)
-            rows[:, start : start + len(part)] = part.T
+    block = _draws_block((shape[0], shape[2], shape[1]))
+    for chain, first, part, rows in _slices(block):
+        fh.readinto(rows.data)
+        _check_finite(path, chain, rows, first, names)
+        part[:] = rows.T
     return block
 
 

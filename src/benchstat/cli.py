@@ -20,12 +20,14 @@ from .errors import BenchstatError, InputError
 
 
 def _read(path: str):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {data.not_utf8(exc)}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -73,6 +75,8 @@ def _resolve_seed(seed: int | None) -> tuple[int, str]:
 
         seed = secrets.randbits(32)
         return seed, f"# seed: {seed} (drawn from entropy; pass --seed {seed} to replay)\n"
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     return seed, f"# seed: {seed}\n"
 
 

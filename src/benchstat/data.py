@@ -327,11 +327,20 @@ class AggregatedMatrix:
 def _lines(source) -> list:
     """The lines of ``source``, a str, bytes, or a text or byte stream, split
     at "\n" alone, a leading byte-order mark dropped; bytes are UTF-8."""
-    if not isinstance(source, (str, bytes)):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    try:
+        if not isinstance(source, (str, bytes)):
+            source = source.read()
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc) from None
     return list(io.StringIO(source.removeprefix("\ufeff")))
+
+
+def not_utf8(exc: UnicodeDecodeError) -> InputError:
+    """The error for input that is not UTF-8, naming the line of its first bad byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return InputError(f"line {line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8")
 
 
 def _records(lines: list) -> tuple:

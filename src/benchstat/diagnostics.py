@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .banova import PosteriorDraws
+from .banova import _SLICE_DRAWS, PosteriorDraws
 from .data import AggregatedMatrix
 from .errors import InputError
 
@@ -160,18 +160,14 @@ class DiagnosticRow:
     ess: Optional[float]
 
 
-# draws per batch of diagnostics columns: about 1 MB, as _read_v2_block reads
-# them, and at most a sixteenth of the block, so that the centred batch, its
-# squares and the rows still live in _direct_tau stay small beside the draws
-_BATCH_DRAWS = 1 << 17
-
-
 def diagnostic_report(draws: PosteriorDraws):
     """One (name, R-hat, ESS) row per monitored scalar parameter, computed
     over batches of columns of ``draws.block`` in one reused work buffer."""
     m, n_cols, n = draws.block.shape
     _check_chains(m, n)
-    step = max(1, min(_BATCH_DRAWS // (m * n), n_cols // 16))
+    # 1 MB of draws per batch, as in the draws file, and at most a sixteenth of the
+    # block, so that the batch's work buffers stay small beside the draws
+    step = max(1, min(_SLICE_DRAWS // (m * n), n_cols // 16))
     names = [name for name, _ in draws.scalar_chains()]
     work = np.empty((2, step, m, n))
     rows = []

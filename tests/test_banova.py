@@ -4,8 +4,10 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -905,6 +907,47 @@ class TestPersistence:
         )
         save_draws(draws, tmp_path / "draws.bin")
         assert_same_chains(draws.chains, load_draws(tmp_path / "draws.bin").chains)
+
+    @pytest.mark.parametrize("draws_per_chain", ["1", "slice - 1", "slice", "3 slices + 7"])
+    def test_roundtrip_at_slice_edges(self, tmp_path, draws_per_chain):
+        # 2 algorithms and 3 datasets: 9 columns, so a slice holds about 14,563 draws
+        step = banova._SLICE_DRAWS // 9
+        n = {"1": 1, "slice - 1": step - 1, "slice": step, "3 slices + 7": 3 * step + 7}[draws_per_chain]
+        block = np.random.default_rng(15).standard_normal((2, 9, n))
+        draws = PosteriorDraws("normal", ["a", "b"], ["d1", "d2", "d3"], block)
+        path = tmp_path / "draws.bin"
+        save_draws(draws, path)
+        head, _, raw = path.read_bytes().partition(b"\n")
+        assert raw == np.ascontiguousarray(block.transpose(0, 2, 1), dtype="<f8").tobytes()
+        np.testing.assert_array_equal(load_draws(path).block, block)
+
+    def test_save_holds_one_slice_at_a_time(self, tmp_path):
+        # desk draws, 4 x 5,000 of 133 columns (21.3 MB); a whole chain is 5.3 MB
+        block = np.random.default_rng(16).standard_normal((4, 1 + 14 + 115 + 3, 5000))
+        draws = PosteriorDraws("normal", [f"a{i}" for i in range(14)], [f"d{i}" for i in range(115)], block)
+        tracemalloc.start()  # counts only what the save allocates
+        try:
+            save_draws(draws, tmp_path / "draws.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2**20
+        np.testing.assert_array_equal(load_draws(tmp_path / "draws.bin").block, block)
+
+    @pytest.mark.parametrize("meta", [[1, 2], None, 3], ids=["list", "null", "number"])
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, version, meta):
+        if version == "v1":
+            header, body = (Path(__file__).parent / "golden" / "legacy-v1.draws").read_bytes().split(b"\n", 1)
+        else:
+            header, body = self._saved_bytes(tmp_path)[1].split(b"\n", 1)
+        magic, fields = header.split(b" {", 1)
+        fields = json.loads(b"{" + fields) | {"meta": meta}
+        path = tmp_path / "bad.draws"
+        path.write_bytes(magic + b" " + json.dumps(fields).encode() + b"\n" + body)
+        message = f"malformed header (meta {json.dumps(meta)} is not an object)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_draws(path)
 
     def test_malformed_v1_text_rejected(self, tmp_path):
         lines = (Path(__file__).parent / "golden" / "legacy-v1.draws").read_text().splitlines(True)

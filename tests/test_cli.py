@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import multiprocessing
@@ -562,6 +563,59 @@ class TestErrorHandling:
         assert captured.err == (
             f"error: {chains} chains x 21 columns x {kept} kept draws of 8 bytes is "
             f"{8 * 21 * chains * kept} bytes, more than the {sys.maxsize} a draws block can hold\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, raw, byte",
+        [
+            (["rank", "{bad}"], HEADER.encode() + b"d\xe9,a,1,0.1,\n", "0xe9"),
+            (["bayes", str(GOLDEN / "errors.csv"), "--config", "{bad}"], b"chains=2\r\nkept=\xff\n", "0xff"),
+            (["bayes", "{bad}", "--load", str(GOLDEN / "legacy-v1.draws")], (HEADER + "d\xe9").encode("latin-1"), "0xe9"),
+            (["synth", "{bad}"], b'{\n"beta": "\xe9"}\n', "0xe9"),
+        ],
+        ids=["rank input", "bayes --config", "bayes --load input", "synth spec"],
+    )
+    def test_input_that_is_not_utf8_exit_2(self, argv, raw, byte, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.write_bytes(raw)
+        assert main([arg.format(bad=bad) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: line 2: byte {byte} is not valid UTF-8\n"
+        )
+
+    def test_stdin_that_is_not_utf8_exit_2(self, monkeypatch, capsys):
+        raw = HEADER.encode() + b"d,a,1,0.1,\nd,\xe9,1,0.1,\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        assert main(["rank", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read -: line 3: byte 0xe9 is not valid UTF-8\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bayes", str(GOLDEN / "errors.csv")],
+            ["ppc", str(GOLDEN / "legacy-v1.draws"), str(GOLDEN / "errors.csv")],
+            ["synth", str(GOLDEN / "synth-spec.json")],
+        ],
+        ids=["bayes", "ppc", "synth"],
+    )
+    def test_negative_seed_exit_2(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["bayes", "ppc"])
+    def test_draws_whose_meta_is_not_an_object_exit_2(self, command, tmp_path, capsys):
+        header, body = (GOLDEN / "legacy-v1.draws").read_text().split("\n", 1)
+        magic, fields = header.split(" {", 1)
+        path = tmp_path / "listed.draws"
+        path.write_text(f"{magic} {json.dumps(json.loads('{' + fields) | {'meta': [1, 2]})}\n{body}")
+        argv = ["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]
+        assert main(argv if command == "bayes" else ["ppc", str(path), str(GOLDEN / "errors.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: draws file {path}: malformed header (meta [1, 2] is not an object)\n"
         )
 
     def test_refused_draws_mapping_exit_1(self, monkeypatch, capsys):

@@ -115,6 +115,16 @@ class TestIngestErrorTable:
             ingest_error_table(kind(text))
 
     @pytest.mark.parametrize(
+        "kind",
+        [bytes, io.BytesIO, lambda raw: io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")],
+        ids=["bytes", "byte stream", "text stream"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, kind):
+        raw = (HEADER + "iris,rf,1,0.05,\r\n").encode("utf-8") + b"wine,r\xe9,1,0.05,\n"
+        with pytest.raises(InputError, match=r"^line 3: byte 0xe9 is not valid UTF-8$"):
+            ingest_error_table(kind(raw))
+
+    @pytest.mark.parametrize(
         "text",
         [HEADER + "iris,rf,1,0.05,\n", "# note\n" + HEADER + "iris,rf,1,0.05,\n"],
         ids=["header first", "comment first"],
