@@ -917,7 +917,7 @@ class TestPersistence:
         draws = PosteriorDraws("normal", ["a", "b"], ["d1", "d2", "d3"], block)
         path = tmp_path / "draws.bin"
         save_draws(draws, path)
-        head, _, raw = path.read_bytes().partition(b"\n")
+        raw = path.read_bytes().partition(b"\n")[2]
         assert raw == np.ascontiguousarray(block.transpose(0, 2, 1), dtype="<f8").tobytes()
         np.testing.assert_array_equal(load_draws(path).block, block)
 

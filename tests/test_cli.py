@@ -587,9 +587,7 @@ class TestErrorHandling:
         raw = HEADER.encode() + b"d,a,1,0.1,\nd,\xe9,1,0.1,\n"
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
         assert main(["rank", "-"]) == 2
-        assert capsys.readouterr().err == (
-            "error: cannot read -: line 3: byte 0xe9 is not valid UTF-8\n"
-        )
+        assert capsys.readouterr().err == "error: cannot read -: line 3: byte 0xe9 is not valid UTF-8\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -606,14 +604,17 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == "error: --seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("command", ["bayes", "ppc"])
-    def test_draws_whose_meta_is_not_an_object_exit_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["bayes", str(GOLDEN / "errors.csv"), "--load", "{draws}"], ["ppc", "{draws}", str(GOLDEN / "errors.csv")]],
+        ids=["bayes", "ppc"],
+    )
+    def test_draws_whose_meta_is_not_an_object_exit_2(self, argv, tmp_path, capsys):
         header, body = (GOLDEN / "legacy-v1.draws").read_text().split("\n", 1)
         magic, fields = header.split(" {", 1)
         path = tmp_path / "listed.draws"
         path.write_text(f"{magic} {json.dumps(json.loads('{' + fields) | {'meta': [1, 2]})}\n{body}")
-        argv = ["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]
-        assert main(argv if command == "bayes" else ["ppc", str(path), str(GOLDEN / "errors.csv")]) == 2
+        assert main([arg.format(draws=path) for arg in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: draws file {path}: malformed header (meta [1, 2] is not an object)\n"
         )
