@@ -45,7 +45,14 @@ the baseline first in even pairs and the change first in odd ones.  Per workload
 records each side's median and quartiles, the median ratio (change over
 baseline), the pairs the change won (ties count for neither) and whether the
 gain is clear: won in at least nine tenths of the pairs, with the medians
-further apart than the baseline's quartiles.  Each pair then times one
+further apart than the baseline's quartiles.  Against the metric's
+``BENCHMARK.json`` bound, a share of the baseline median, it also records
+``within_bound``, true when the change's median is worse than the
+baseline's by no more than that share, and ``unresolved``, true when the
+baseline's quartile distance exceeds that share of its median and not every
+change run beats every baseline run.  Per workload and side it records the
+``attempted`` and ``failed`` operations summed over the runs, and whether
+every run read ``correct: true``.  Each pair then times one
 ``bayes --paper-config --seed 1`` run per variant on each tree, in the
 workloads' alternating order, and records each side's ``wall_s`` the same
 way; the seed is fixed, so ``min_bulk_ess`` (with ``ess_per_s`` and
@@ -152,12 +159,14 @@ def source_lines(root: Path = ROOT) -> dict:
     return {"modules": modules, **totals}
 
 
-def summarize(baseline: list, change: list, better: str) -> dict:
-    """Each side's median and quartiles, the median ratio, and the pairs won."""
+def summarize(baseline: list, change: list, better: str, bound: float | None = None) -> dict:
+    """Each side's median and quartiles, the median ratio, and the pairs won;
+    with a ``bound``, also whether the change is within it and whether the
+    baseline's spread leaves the comparison unresolved."""
     sign = 1.0 if better == "higher" else -1.0
     q_base, q_change = np.percentile(baseline, [25, 50, 75]), np.percentile(change, [25, 50, 75])
     wins = sum(sign * (c - b) > 0 for b, c in zip(baseline, change))
-    return {
+    summary = {
         "better": better,
         "baseline": {"median": q_base[1], "quartiles": [q_base[0], q_base[2]]},
         "change": {"median": q_change[1], "quartiles": [q_change[0], q_change[2]]},
@@ -167,12 +176,17 @@ def summarize(baseline: list, change: list, better: str) -> dict:
         "clear_gain": bool(wins >= 0.9 * len(baseline)
                            and sign * (q_change[1] - q_base[1]) > q_base[2] - q_base[0]),
     }
+    if bound is not None:
+        summary["within_bound"] = bool(sign * (q_change[1] - q_base[1]) >= -bound * abs(q_base[1]))
+        summary["unresolved"] = bool(q_base[2] - q_base[0] > bound * abs(q_base[1])
+                                     and min(sign * c for c in change) <= max(sign * b for b in baseline))
+    return summary
 
 
 def paired(benchmark: dict, commit: str, pairs: int) -> dict:
     """Alternating untraced runs of the working tree and of ``commit``'s ``src/``."""
     seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     results = {}
     with tempfile.TemporaryDirectory() as base:
         # both trees at paths of one length: the environment's size and the
@@ -196,12 +210,20 @@ def paired(benchmark: dict, commit: str, pairs: int) -> dict:
                 values = {side: pair[side]["result"]["metrics"]["report_s"]["value"] for side in order}
                 print(f"{workload} pair {i + 1}/{pairs} seed {seed}: report_s baseline "
                       f"{values['baseline']:.3f}, change {values['change']:.3f}", file=sys.stderr)
-            metrics = {
-                name: summarize(*([pair[side]["result"]["metrics"][name]["value"] for pair in runs]
-                                  for side in ("baseline", "change")), direction)
-                for name, direction in better.items()
+            sides = {side: [pair[side]["result"] for pair in runs] for side in ("baseline", "change")}
+            results[workload] = {
+                "operations": {
+                    side: {"attempted": sum(r["attempted"] for r in done), "failed": sum(r["failed"] for r in done),
+                           "all_correct": all(r["correct"] for r in done)}
+                    for side, done in sides.items()
+                },
+                "metrics": {
+                    name: summarize(*([r["metrics"][name]["value"] for r in sides[side]] for side in sides),
+                                    better, bound)
+                    for name, (better, bound) in metrics.items()
+                },
+                "runs": runs,
             }
-            results[workload] = {"metrics": metrics, "runs": runs}
         paper = {variant: [] for variant in ("normal", "robust")}
         for i in range(pairs):
             order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")

@@ -19,15 +19,12 @@ from . import banova, data, diagnostics, nhst, ranks, render, threshold
 from .errors import BenchstatError, InputError
 
 
-def _read(path: str):
+def _read(path: str) -> str:
+    """The text of ``path``, or of standard input for ``-``, by ``data.as_text``'s rule."""
     try:
-        if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return data.as_text(sys.stdin.buffer if path == "-" else Path(path).read_bytes())
+    except (OSError, InputError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read {path}: {data.not_utf8(exc)}") from None
 
 
 def _emit(text: str, out: str | None):
@@ -81,10 +78,10 @@ def _resolve_seed(seed: int | None) -> tuple[int, str]:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Simple key=value MCMC settings file."""
-    settings = {}
+    """Simple key=value MCMC settings file, each key set once."""
+    settings, lines = {}, {}
     known = {"chains", "burn_in", "adaptation", "kept", "thinning"}
-    for line_no, line in enumerate(_read(path).splitlines(), start=1):
+    for line_no, line in enumerate(_read(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -94,6 +91,9 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in known:
             raise InputError(f"config line {line_no}: unknown key {key!r}")
+        if key in lines:
+            raise InputError(f"config line {line_no}: duplicate key {key!r} (first seen at config line {lines[key]})")
+        lines[key] = line_no
         try:
             settings[key] = int(value.strip())
         except ValueError:
@@ -207,6 +207,8 @@ def cmd_bayes(
     """Hierarchical Bayesian ANOVA: ROPE probability matrix plus diagnostics."""
     if not rope > 0:  # NaN too; before anything is read, sampled or written
         raise InputError(f"--rope must be > 0, got {rope}")
+    if threads < 1:
+        raise InputError(f"--threads must be >= 1, got {threads}")
     if load_path:
         ctx = click.get_current_context()
         given = [
@@ -228,7 +230,7 @@ def cmd_bayes(
         # the --config file first, then the chains/burn-in/... options over it
         settings = _parse_config_file(config_path) if config_path else {}
         settings.update((key, value) for key, value in mcmc.items() if value is not None)
-        cfg = dataclasses.replace(base, **settings, n_jobs=max(1, threads))
+        cfg = dataclasses.replace(base, **settings, n_jobs=threads)
         seed, header = _resolve_seed(seed)
         draws = banova.run_chains(spec, matrix, cfg, seed=seed)
         if save_path:

@@ -324,26 +324,22 @@ class AggregatedMatrix:
         return self.values[self.mask]
 
 
-def _lines(source) -> list:
-    """The lines of ``source``, a str, bytes, or a text or byte stream, split
-    at "\n" alone, a leading byte-order mark dropped; bytes are UTF-8."""
+def as_text(source) -> str:
+    """The text of ``source``, a str, bytes, or a text or byte stream read
+    whole, a leading byte-order mark dropped; bytes are UTF-8, and a byte that
+    is not raises an :class:`InputError` naming its line, counted at "\n"."""
     try:
         if not isinstance(source, (str, bytes)):
             source = source.read()
         if isinstance(source, bytes):
             source = source.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(exc) from None
-    return list(io.StringIO(source.removeprefix("\ufeff")))
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"line {line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
+    return source.removeprefix("\ufeff")
 
 
-def not_utf8(exc: UnicodeDecodeError) -> InputError:
-    """The error for input that is not UTF-8, naming the line of its first bad byte."""
-    line = exc.object.count(b"\n", 0, exc.start) + 1
-    return InputError(f"line {line}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8")
-
-
-def _records(lines: list) -> tuple:
+def _records(lines) -> tuple:
     """The csv reader's nonblank records of ``lines``, the file line each
     ends on, and the error for a record the reader rejects, naming the line
     it starts on (None if it rejects none; the records then stop before it).
@@ -379,7 +375,7 @@ def _ingest(source, table: type):
     columns.  The rows before a record the reader rejects are checked first,
     as a row-at-a-time parser would meet them.
     """
-    rows, ends, reader_error = _records(_lines(source))
+    rows, ends, reader_error = _records(io.StringIO(as_text(source)))  # lines end at "\n" alone
     if not rows:
         raise reader_error or InputError("empty input: missing header")
     header = [h.strip() for h in rows[0]]

@@ -46,16 +46,24 @@ class TestRankCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["good", "mid", "bad"]
 
     def test_byte_order_mark_ignored(self, tmp_path, capsys):
-        """A UTF-8 byte-order mark before the header, as spreadsheet CSV exports write it."""
+        """A UTF-8 byte-order mark before the header, as spreadsheet CSV exports
+        write it, and before a --config file or a synth spec."""
         text = (GOLDEN / "errors.csv").read_text(encoding="utf-8")
-        marked = tmp_path / "marked.csv"
         header_first = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
-        marked.write_text(header_first, encoding="utf-8-sig")
-        assert marked.read_bytes().startswith(b"\xef\xbb\xbfdataset,")
-        assert main(["rank", str(GOLDEN / "errors.csv")]) == 0
-        expected = capsys.readouterr().out
-        assert main(["rank", str(marked)]) == 0
-        assert capsys.readouterr().out == expected
+        cases = [
+            (["rank", "{}"], header_first),
+            (["bayes", str(GOLDEN / "errors.csv"), "--seed", "1", "--config", "{}"], "chains=2\nkept=20\n"),
+            (["synth", "{}", "--seed", "1"], (GOLDEN / "synth-spec.json").read_text(encoding="utf-8")),
+        ]
+        for argv, text in cases:
+            plain, marked = tmp_path / "plain", tmp_path / "marked"
+            plain.write_text(text, encoding="utf-8")
+            marked.write_text(text, encoding="utf-8-sig")
+            assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+            assert main([arg.format(plain) for arg in argv]) == 0
+            expected = capsys.readouterr().out
+            assert main([arg.format(marked) for arg in argv]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_json_output_parses(self, synth_csv, capsys):
         assert main(["rank", synth_csv, "--format", "json"]) == 0
@@ -343,6 +351,29 @@ class TestBayesCommand:
         cfg.write_text("warmup=50\n")
         assert main(["bayes", synth_csv, "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chains=2\x0ckept=x\n", "config line 1: chains must be an integer"),
+            ("# mcmc\nchains=2\nkept=20\nchains=3\n", "config line 4: duplicate key 'chains' (first seen at config line 2)"),
+        ],
+        ids=["form feed", "duplicate key"],
+    )
+    def test_bad_config_line_exit_2(self, synth_csv, tmp_path, text, message, capsys):
+        cfg = tmp_path / "mcmc.cfg"
+        cfg.write_text(text)
+        assert main(["bayes", synth_csv, "--config", str(cfg), "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, synth_csv, threads, capsys):
+        assert main(["bayes", synth_csv, "--kept", "20", "--seed", "0", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
 
 
 class TestPpcCommand:

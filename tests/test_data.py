@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import io
 import re
+import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +24,49 @@ from benchstat import (
     matrix_from_timings,
 )
 import benchstat.data
+from benchstat.cli import main
 from benchstat.data import ErrorTable, TimingTable, error_table_to_csv
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
 TIMING_HEADER = (
     "dataset,algorithm,subset,train_test_seconds,hyper_search_seconds,n_hyper_combos\n"
 )
+
+
+def rank_by_main(name: str):
+    """A reader of a table's text or bytes that runs ``main(["rank", ...])``
+    on them, from a file (``name`` "path") or from standard input (``name``
+    "-"), and raises the message of an exit with code 2 as an
+    :class:`InputError`, without the "error: " and "cannot read NAME: " that
+    the command writes before it."""
+
+    def read(source):
+        raw = source.encode("utf-8") if isinstance(source, str) else source
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "table.csv"
+            path.write_bytes(raw)
+            argv = ["rank", str(path) if name == "path" else "-"]
+            stdin, err = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"), io.StringIO()
+            with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stderr(err):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+        if code == 2:
+            message = err.getvalue().removeprefix("error: ").removeprefix(f"cannot read {argv[1]}: ")
+            raise InputError(message.rstrip("\n"))
+        assert code == 0, err.getvalue()
+
+    return read
+
+
+# every route by which a table's text reaches ingest: the library's source kinds, then the CLI's
+TEXT_READERS = {
+    "str": ingest_error_table,
+    "bytes": lambda text: ingest_error_table(text.encode("utf-8")),
+    "byte stream": lambda text: ingest_error_table(io.BytesIO(text.encode("utf-8"))),
+    "text stream": lambda text: ingest_error_table(io.StringIO(text, newline="")),
+    "main path": rank_by_main("path"),
+    "main stdin": rank_by_main("-"),
+}
 
 
 class TestIngestErrorTable:
@@ -104,25 +145,34 @@ class TestIngestErrorTable:
         stream = io.BytesIO((HEADER + "iris,rf,1,0.05,\n").encode("utf-8"))
         assert len(ingest_error_table(stream)) == 1
 
-    @pytest.mark.parametrize(
-        "kind",
-        [str, str.encode, lambda text: io.BytesIO(text.encode()), lambda text: io.StringIO(text, newline="")],
-        ids=["str", "bytes", "byte stream", "text stream"],
-    )
-    def test_every_source_kind_splits_lines_at_newline_alone(self, kind):
+    @pytest.mark.parametrize("read", TEXT_READERS.values(), ids=list(TEXT_READERS))
+    def test_every_source_kind_splits_lines_at_newline_alone(self, read):
         text = HEADER + '"a\rb",rf,1,0.1,\nx,rf,1,zz,\n'
         with pytest.raises(InputError, match="^line 3: malformed test_error value 'zz'$"):
-            ingest_error_table(kind(text))
+            read(text)
+
+    @pytest.mark.parametrize("read", TEXT_READERS.values(), ids=list(TEXT_READERS))
+    @pytest.mark.parametrize("row", ["d,rf,1,0.1,", "d,rf,1,x,"], ids=["valid row", "malformed row"])
+    def test_bare_carriage_returns_end_no_line(self, read, row):
+        text = HEADER.replace("\n", "\r") + row + "\r"
+        with pytest.raises(InputError, match="^line 1: new-line character seen in unquoted field"):
+            read(text)
 
     @pytest.mark.parametrize(
-        "kind",
-        [bytes, io.BytesIO, lambda raw: io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")],
-        ids=["bytes", "byte stream", "text stream"],
+        "read",
+        [
+            ingest_error_table,
+            lambda raw: ingest_error_table(io.BytesIO(raw)),
+            lambda raw: ingest_error_table(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")),
+            rank_by_main("path"),
+            rank_by_main("-"),
+        ],
+        ids=["bytes", "byte stream", "text stream", "main path", "main stdin"],
     )
-    def test_bytes_that_are_not_utf8_name_their_line(self, kind):
+    def test_bytes_that_are_not_utf8_name_their_line(self, read):
         raw = (HEADER + "iris,rf,1,0.05,\r\n").encode("utf-8") + b"wine,r\xe9,1,0.05,\n"
         with pytest.raises(InputError, match=r"^line 3: byte 0xe9 is not valid UTF-8$"):
-            ingest_error_table(kind(raw))
+            read(raw)
 
     @pytest.mark.parametrize(
         "text",
