@@ -26,6 +26,12 @@ perfbench's reference ``convergence`` over every scalar parameter of those
 draws, ``ess_per_s`` is ``min_bulk_ess`` over ``wall_s``, and
 ``min_alpha_diff_ess`` is the smallest such ESS over the differences
 alpha_i - alpha_j of every pair of algorithms, which the ROPE matrix reads.
+The ROPE fields read the indicator chains |alpha_i - alpha_j| < 0.0112 (the
+default ``--rope``) of the pairs whose pooled share p of draws inside the
+ROPE lies in the band ``ROPE_BAND``, (0.02, 0.98): ``min_rope_ess`` is the
+smallest bulk ESS of those chains, and ``max_rope_mcse`` the largest
+Monte Carlo standard error sqrt(p (1 - p) / ESS) of their shares; both are
+null when no pair's share lies in the band.
 A run that exits non-zero, or prints no JSON line or no speed summary, stops
 the recording with its standard error.
 
@@ -55,15 +61,17 @@ change run beats every baseline run.  Per workload and side it records the
 every run read ``correct: true``.  Each pair then times one
 ``bayes --paper-config --seed 1`` run per variant on each tree, in the
 workloads' alternating order, and records each side's ``wall_s`` the same
-way; the seed is fixed, so ``min_bulk_ess`` (with ``ess_per_s`` and
-``min_alpha_diff_ess``) is taken once per side, in the first pair.  Every
-run's JSON line is kept, and ``source_lines`` is counted for both trees.
+way; the seed is fixed, so ``min_bulk_ess`` (with ``ess_per_s``,
+``min_alpha_diff_ess`` and the ROPE fields) is taken once per side, in the
+first pair.  Every run's JSON line is kept, and ``source_lines`` is counted
+for both trees.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import math
 import os
 import platform
 import re
@@ -86,6 +94,8 @@ from benchstat.banova import load_draws  # noqa: E402
 from speed import KERNEL_REF_S, SpeedProbe  # noqa: E402  perfbench's machine-speed probe
 
 SEED = 1
+ROPE = 0.0112  # bayes's default --rope half-width
+ROPE_BAND = (0.02, 0.98)  # the pooled ROPE shares whose indicator chains the ROPE fields read
 SPEED = re.compile(r"(\d+) rounds; median kernel ([\d.]+) ms \(reference ([\d.]+) ms\)")
 
 
@@ -143,9 +153,17 @@ def paper_config_run(variant: str, root: Path = ROOT, with_ess: bool = True) -> 
             draws = load_draws(saved)
             ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in draws.scalar_chains())
             alpha = draws.block[:, 1 : 1 + len(draws.algorithms)]
-            diff_ess = min(reference.convergence(alpha[:, i] - alpha[:, j])[1]
-                           for i, j in itertools.combinations(range(alpha.shape[1]), 2))
-            entry.update(min_bulk_ess=ess, ess_per_s=ess / seconds, min_alpha_diff_ess=diff_ess)
+            diff_ess, rope = math.inf, []  # rope: (share, ESS) of each indicator chain in the band
+            for i, j in itertools.combinations(range(alpha.shape[1]), 2):
+                diff = alpha[:, i] - alpha[:, j]
+                diff_ess = min(diff_ess, reference.convergence(diff)[1])
+                inside = (np.abs(diff) < ROPE).astype(float)
+                share = inside.mean()
+                if ROPE_BAND[0] < share < ROPE_BAND[1]:
+                    rope.append((share, reference.convergence(inside)[1]))
+            entry.update(min_bulk_ess=ess, ess_per_s=ess / seconds, min_alpha_diff_ess=diff_ess,
+                         min_rope_ess=min((e for _, e in rope), default=None),
+                         max_rope_mcse=max((math.sqrt(p * (1 - p) / e) for p, e in rope), default=None))
     return entry
 
 
@@ -238,7 +256,8 @@ def paired(benchmark: dict, commit: str, pairs: int) -> dict:
             variant: {
                 "wall_s": summarize(*([pair[side]["wall_s"] for pair in runs] for side in ("baseline", "change")),
                                     "lower"),
-                "min_bulk_ess": {side: runs[0][side]["min_bulk_ess"] for side in ("baseline", "change")},
+                **{field: {side: runs[0][side][field] for side in ("baseline", "change")}
+                   for field in ("min_bulk_ess", "min_rope_ess", "max_rope_mcse")},
                 "runs": runs,
             }
             for variant, runs in paper.items()
@@ -283,7 +302,8 @@ def main(argv=None) -> int:
         paper_config.append(entry)
         print(f"bayes --paper-config {variant}: {entry['wall_s']:.2f} s, speed factor {entry['speed_factor']:.3f}, "
               f"min bulk ESS {entry['min_bulk_ess']:.0f}, min alpha-difference ESS "
-              f"{entry['min_alpha_diff_ess']:.0f}", file=sys.stderr)
+              f"{entry['min_alpha_diff_ess']:.0f}, min ROPE ESS {entry['min_rope_ess']}, max ROPE MCSE "
+              f"{entry['max_rope_mcse']}", file=sys.stderr)
     record.update(seeds=[SEED], runs=runs, paper_config=paper_config, source_lines=source_lines())
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

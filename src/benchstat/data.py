@@ -38,6 +38,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import InputError
+from .render import csv_table
 
 ERROR_HEADER = ["dataset", "algorithm", "subset", "test_error", "cv_error"]
 TIMING_HEADER = ERROR_HEADER[:3] + ["train_test_seconds", "hyper_search_seconds", "n_hyper_combos"]
@@ -327,10 +328,13 @@ class AggregatedMatrix:
 def as_text(source) -> str:
     """The text of ``source``, a str, bytes, or a text or byte stream read
     whole, a leading byte-order mark dropped; bytes are UTF-8, and a byte that
-    is not raises an :class:`InputError` naming its line, counted at "\n"."""
+    is not raises an :class:`InputError` naming its line, counted at "\n".
+    A text stream with a ``buffer`` (a file from ``open``, ``sys.stdin``) is
+    read as the bytes under it, so its own decoding and newline translation
+    never apply."""
     try:
         if not isinstance(source, (str, bytes)):
-            source = source.read()
+            source = getattr(source, "buffer", source).read()
         if isinstance(source, bytes):
             source = source.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -363,6 +367,8 @@ def _records(lines) -> tuple:
                 rows.append(row)
                 ends.append(start)
     except csv.Error as exc:
+        if "new-line character" in str(exc):  # a bare "\r": csv's advice on a file mode fits no input here
+            exc = 'a carriage return outside quotes ends no line; lines end at "\\n" (CRLF is fine)'
         return rows, ends, InputError(f"line {start + 1}: {exc}")
     return rows, ends, None
 
@@ -510,20 +516,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> ErrorTable:
     return ErrorTable(rows, len(ERROR_HEADER))
 
 
-def _csv_field(text: str) -> str:
-    """One CSV field, quoted where csv needs it and where it starts with '#',
-    which the reader would otherwise take for a comment line."""
-    if text.startswith("#") or any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def error_table_to_csv(table: ErrorTable, comment: Optional[str] = None) -> str:
-    """Render an error table back to its CSV wire format."""
-    lines = [f"# {line}" for line in (comment or "").splitlines()]
-    lines.append(",".join(ERROR_HEADER))
-    for rec in table.records:
-        cv = "" if rec.cv_error is None else repr(rec.cv_error)
-        fields = [rec.dataset, rec.algorithm, str(rec.subset), repr(rec.test_error), cv]
-        lines.append(",".join(_csv_field(f) for f in fields))
-    return "\n".join(lines) + "\n"
+    """Render an error table back to its CSV wire format, ``comment``'s lines as '#' lines first."""
+    rows = [(r.dataset, r.algorithm, r.subset, r.test_error, "" if r.cv_error is None else r.cv_error) for r in table]
+    return "".join(f"# {line}\n" for line in (comment or "").splitlines()) + csv_table(ERROR_HEADER, rows)

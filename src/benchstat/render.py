@@ -5,8 +5,6 @@ formatter, so a value printed in one format matches the others exactly.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from typing import TYPE_CHECKING, Optional
@@ -20,18 +18,20 @@ if TYPE_CHECKING:  # annotations only: ranks imports this module, and nhst impor
 FORMATS = ("csv", "markdown", "json")
 
 
-def fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{float(x):.6g}"
+def fmt(x) -> Optional[str]:
+    """``x`` to 6 significant digits; None, an undefined value, stays None."""
+    return None if x is None else f"{float(x):.6g}"
 
 
-def _csv_table(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+def csv_table(header, rows) -> str:
+    """The one CSV writer: lines ended by "\n", each field ``str``, quoted with
+    its quotes doubled where it holds ',', '"', '\r' or '\n' or starts with '#'
+    after any whitespace, so that ``data``'s reader splits and keeps every row."""
+    return "".join(
+        ",".join(['"' + s.replace('"', '""') + '"' if "," in s or '"' in s or "\r" in s or "\n" in s
+                  or s.lstrip()[:1] == "#" else s for s in map(str, row)]) + "\n"
+        for row in [header, *rows]
+    )
 
 
 def _markdown_cell(value) -> str:
@@ -64,7 +64,7 @@ def serialise(format: str, header, rows, shape=lambda records: records, note=Non
         return json.dumps(obj, indent=2) + "\n"
     rows = [["undefined" if c is None else c for c in row] for row in rows]
     if format == "csv":
-        return _csv_table(header, rows) + (f"# {note}\n" if note else "")
+        return csv_table(header, rows) + (f"# {note}\n" if note else "")
     return _markdown_table(header, rows) + (f"\n{note}\n" if note else "")
 
 
@@ -144,18 +144,10 @@ def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
 def render_diagnostics(rows, format: str = "csv") -> str:
     """Per-parameter convergence table; a footer notes the omitted
     multivariate PSRF."""
-    body = [
-        (
-            r.parameter,
-            fmt(r.r_hat) if r.r_hat is not None else None,
-            fmt(r.ess) if r.ess is not None else None,
-        )
-        for r in rows
-    ]
     return serialise(
         format,
         ["parameter", "r_hat", "ess"],
-        body,
+        [(r.parameter, fmt(r.r_hat), fmt(r.ess)) for r in rows],
         lambda records: {"parameters": records},
         note="multivariate PSRF not computed (single-parameter diagnostics only)",
     )
@@ -163,4 +155,4 @@ def render_diagnostics(rows, format: str = "csv") -> str:
 
 def ppc_scatter_csv(pairs) -> str:
     """``t_real,t_rep`` rows for external scatter plotting."""
-    return _csv_table(["t_real", "t_rep"], [(fmt(t_real), fmt(t_rep)) for t_real, t_rep in pairs])
+    return csv_table(["t_real", "t_rep"], [(fmt(t_real), fmt(t_rep)) for t_real, t_rep in pairs])

@@ -1,5 +1,7 @@
+import csv
 import errno
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -17,6 +19,7 @@ import pytest
 from benchstat import SynthSpec, banova, generate_synthetic, load_draws
 from benchstat.data import error_table_to_csv
 from benchstat.cli import main
+from benchstat.render import csv_table
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -666,6 +669,61 @@ class TestNumberFormatting:
         for token in re.findall(r",(\d+\.\d+)", out):
             digits = token.replace(".", "").lstrip("0")
             assert len(digits) <= 6, token
+
+
+def csv_blocks(text: str) -> list:
+    """The rows of a CSV report as ``csv.reader`` reads them with its '#'
+    lines dropped, split into blocks at blank lines."""
+    rows = csv.reader(line for line in io.StringIO(text) if not line.startswith("#"))
+    return [list(block) for blank, block in itertools.groupby(rows, lambda row: not row) if not blank]
+
+
+class TestCsvQuoting:
+    """Every CSV the program writes reads back, '#' lines dropped, with each
+    name intact: a name that starts with '#' is no comment line, and a '\r'
+    in a name ends no row."""
+
+    ALGORITHMS = {"#nb": 0.0, "a\rb": 0.05, "knn 5": 0.1, "q\"t": 0.15}
+    DATASETS = {"#iris": 0.0, "w\rine": 0.01, "a,b": 0.02, **{f"d{i:02d}": 0.01 * i for i in range(3, 12)}}
+
+    def test_every_command_keeps_the_names(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"beta": 0.2, "alpha": self.ALGORITHMS, "delta": self.DATASETS,
+                                    "noise_sd": 0.005, "cv_noise_sd": 0.005}))
+        table, heat = tmp_path / "errors.csv", tmp_path / "heat.csv"
+        assert main(["synth", str(spec), "--seed", "4", "--out", str(table)]) == 0
+        mcmc = ["--seed", "1", "--chains", "2", "--burn-in", "50", "--adaptation", "50", "--kept", "100",
+                "--threads", "1"]
+        outputs = {}
+        for argv in (["rank", str(table), "--heatmap-csv", str(heat)], ["nhst", str(table)],
+                     ["bayes", str(table), *mcmc]):
+            assert main(argv) == 0
+            outputs[argv[0]] = csv_blocks(capsys.readouterr().out)
+        names = sorted(self.ALGORITHMS)
+        pairs = set(itertools.combinations(names, 2))
+        [synth] = csv_blocks(table.read_bytes().decode("utf-8"))
+        assert {tuple(row[:2]) for row in synth[1:]} == set(itertools.product(self.DATASETS, names))
+        assert len(synth) == 1 + 2 * len(self.DATASETS) * len(names)
+        [rank] = outputs["rank"]
+        assert sorted(row[0] for row in rank[1:]) == names
+        [heatmap] = csv_blocks(heat.read_bytes().decode("utf-8"))
+        assert {row[0] for row in heatmap[1:]} == set(names) and {len(row) for row in heatmap} == {3}
+        friedman, nemenyi = outputs["nhst"]
+        assert len(friedman) == 2 and {tuple(row[:2]) for row in nemenyi[1:]} == pairs
+        rope, diagnostics = outputs["bayes"]
+        assert {tuple(row[:2]) for row in rope[1:]} == pairs
+        parameters = {row[0] for row in diagnostics[1:]}
+        assert {f"alpha[{a}]" for a in names} | {f"delta[{d}]" for d in self.DATASETS} <= parameters
+        for block in [synth, rank, heatmap, friedman, nemenyi, rope, diagnostics]:
+            assert {len(row) for row in block} == {len(block[0])}
+
+    def test_writer_quotes_by_the_reader_rule(self):
+        fields = ["plain", " #lead", "#x", "a,b", 'q"t', "r\rs", "n\ny", "p#q", 1, 2.5, True]
+        text = csv_table(["h"] * len(fields), [fields])
+        assert text.split("\n", 1)[1] == (
+            'plain," #lead","#x","a,b","q""t","r\rs","n\ny",p#q,1,2.5,True\n'
+        )
+        assert csv_blocks(text) == [[["h"] * len(fields), list(map(str, fields))]]
 
 
 def run_fresh(body: str, *args) -> list:

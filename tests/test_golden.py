@@ -18,7 +18,8 @@ import pytest
 
 from benchstat.cli import main
 from benchstat.diagnostics import DiagnosticRow
-from benchstat.render import render_diagnostics
+from benchstat.render import render_diagnostics, render_threshold
+from benchstat.threshold import ThresholdReport
 
 GOLDEN = Path(__file__).parent / "golden"
 ERRORS = str(GOLDEN / "errors.csv")
@@ -130,6 +131,20 @@ def test_undefined_diagnostics_bytes():
         '      "ess": "812.5"\n    },\n    {\n      "parameter": "sigma_a",\n'
         '      "r_hat": null,\n      "ess": null\n    }\n  ],\n'
         f'  "note": "{note}"\n}}\n'
+    )
+    # a table without a cv_error column: its CV median is undefined too
+    degraded = ThresholdReport(0.0123456789, None, 0.0123456789, 7, 0)
+    assert render_threshold(degraded, "csv") == (
+        "median_delta_resample,median_delta_cv,threshold,n_pairs_used,n_cv_values\n"
+        "0.0123457,undefined,0.0123457,7,0\n"
+    )
+    assert render_threshold(degraded, "markdown") == (
+        "| median_delta_resample | median_delta_cv | threshold | n_pairs_used | n_cv_values |\n"
+        "| --- | --- | --- | --- | --- |\n| 0.0123457 | undefined | 0.0123457 | 7 | 0 |\n"
+    )
+    assert render_threshold(degraded, "json") == (
+        '{\n  "median_delta_resample": "0.0123457",\n  "median_delta_cv": null,\n'
+        '  "threshold": "0.0123457",\n  "n_pairs_used": 7,\n  "n_cv_values": 0\n}\n'
     )
 
 
