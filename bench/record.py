@@ -152,7 +152,7 @@ def paper_config_run(variant: str, root: Path = ROOT, with_ess: bool = True) -> 
             bayes("--save", str(saved))
             draws = load_draws(saved)
             ess = min(reference.convergence(np.asarray(chains))[1] for _, chains in draws.scalar_chains())
-            alpha = draws.block[:, 1 : 1 + len(draws.algorithms)]
+            alpha = draws.alpha
             diff_ess, rope = math.inf, []  # rope: (share, ESS) of each indicator chain in the band
             for i, j in itertools.combinations(range(alpha.shape[1]), 2):
                 diff = alpha[:, i] - alpha[:, j]
@@ -257,7 +257,7 @@ def paired(benchmark: dict, commit: str, pairs: int) -> dict:
                 "wall_s": summarize(*([pair[side]["wall_s"] for pair in runs] for side in ("baseline", "change")),
                                     "lower"),
                 **{field: {side: runs[0][side][field] for side in ("baseline", "change")}
-                   for field in ("min_bulk_ess", "min_rope_ess", "max_rope_mcse")},
+                   for field in ("min_bulk_ess", "min_alpha_diff_ess", "min_rope_ess", "max_rope_mcse")},
                 "runs": runs,
             }
             for variant, runs in paper.items()

@@ -147,6 +147,8 @@ class McmcConfig:
             raise InputError("burn_in and adaptation must be >= 0")
         if self.thinning < 1:
             raise InputError("thinning must be >= 1")
+        if self.n_jobs < 1:
+            raise InputError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
         for name in _PINS:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN fails too
@@ -171,9 +173,10 @@ class PosteriorDraws:
     """All chains' kept draws plus the configuration that produced them.
 
     ``block`` is the float64 (chains, columns, draws) array of the draws, its
-    columns in draws-file order: beta, alpha per algorithm, delta per
-    dataset, sigma0, sigma_a, sigma_d and, for the robust variant, df.
-    ``chains`` holds one :class:`ChainDraws` of views of it per chain.
+    columns ``names``: beta, alpha per algorithm, delta per dataset, sigma0,
+    sigma_a, sigma_d and, for the robust variant, df.  ``alpha`` and ``delta``
+    view its (chains, labels, draws) effects, and ``chains`` holds one
+    :class:`ChainDraws` of views of it per chain.
     """
 
     variant: str
@@ -181,23 +184,24 @@ class PosteriorDraws:
     datasets: tuple
     block: np.ndarray
     meta: dict = field(default_factory=dict)
+    names: list = field(init=False, repr=False)
+    alpha: np.ndarray = field(init=False, repr=False)
+    delta: np.ndarray = field(init=False, repr=False)
     chains: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.algorithms = tuple(self.algorithms)
         self.datasets = tuple(self.datasets)
-        n_alg, s = len(self.algorithms), 1 + len(self.algorithms) + len(self.datasets)
-        robust = self.variant == "robust"
-        if self.block.ndim != 3 or self.block.shape[1] != s + 3 + robust or 0 in self.block.shape:
+        self.names = _column_names(self.variant, self.algorithms, self.datasets)
+        if self.block.ndim != 3 or self.block.shape[1] != len(self.names) or 0 in self.block.shape:
             raise ValueError(
                 f"draws block of shape {self.block.shape} does not fit the labels: want "
-                f"(chains >= 1, {s + 3 + robust}, draws >= 1) for {self.variant} draws"
+                f"(chains >= 1, {len(self.names)}, draws >= 1) for {self.variant} draws"
             )
-        self.chains = [
-            ChainDraws(rows[0], rows[1 : 1 + n_alg].T, rows[1 + n_alg : s].T,
-                       rows[s], rows[s + 1], rows[s + 2], rows[s + 3] if robust else None)
-            for rows in self.block
-        ]
+        a, d = 1 + len(self.algorithms), 1 + len(self.algorithms) + len(self.datasets)
+        self.alpha, self.delta = self.block[:, 1:a], self.block[:, a:d]
+        self.chains = [ChainDraws(rows[0], alpha.T, delta.T, *rows[d:])
+                       for rows, alpha, delta in zip(self.block, self.alpha, self.delta)]
 
     @property
     def n_chains(self) -> int:
@@ -223,7 +227,7 @@ class PosteriorDraws:
     def scalar_chains(self):
         """(name, (n_chains, n) view of ``block``) for every monitored scalar
         parameter, in column order."""
-        return zip(_column_names(self.variant, self.algorithms, self.datasets), self.block.swapaxes(0, 1))
+        return zip(self.names, self.block.swapaxes(0, 1))
 
 
 def _column_names(variant: str, algorithms, datasets) -> list:
@@ -608,12 +612,11 @@ def run_chains(
     if not present.any():
         raise InputError("no present cells")
     y = np.where(present, data.values[np.ix_(perm_d, perm_a)], 0.0)
-    n_ds, n_alg = y.shape
-    robust = spec.variant == "robust"
     workers = min(cfg.n_jobs, cfg.chains)
     # every ChainDraws field is a view of the block, and the effect draws are
     # column-major, as their readers want
-    block = _draws_block((cfg.chains, 1 + n_alg + n_ds + 3 + robust, cfg.kept))
+    names = _column_names(spec.variant, data.algorithms, data.datasets)
+    block = _draws_block((cfg.chains, len(names), cfg.kept))
     draws = PosteriorDraws(spec.variant, data.algorithms, data.datasets, block)
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
     jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, draws.chains)]
@@ -636,12 +639,11 @@ def run_chains(
         counters = [_run_chain(*job) for job in jobs]
     # map effect rows back to the caller's ordering, one chain at a time;
     # ingest sorts labels, so CLI input is already in canonical order
-    if (perm_a != np.arange(n_alg)).any() or (perm_d != np.arange(n_ds)).any():
-        inv_a = 1 + np.argsort(perm_a)
-        inv_d = 1 + n_alg + np.argsort(perm_d)
-        for rows in block:
-            rows[1 : 1 + n_alg] = rows[inv_a]
-            rows[1 + n_alg : 1 + n_alg + n_ds] = rows[inv_d]
+    if (perm_a != np.arange(len(perm_a))).any() or (perm_d != np.arange(len(perm_d))).any():
+        inv_a, inv_d = np.argsort(perm_a), np.argsort(perm_d)
+        for alpha, delta in zip(draws.alpha, draws.delta):
+            alpha[:] = alpha[inv_a]
+            delta[:] = delta[inv_d]
     draws.meta = {
         "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
         "burn_in": cfg.burn_in,
@@ -679,7 +681,7 @@ def pairwise_difference_draws(p: PosteriorDraws, i: str, j: str) -> np.ndarray:
         jj = p.algorithms.index(j)
     except ValueError as exc:
         raise InputError(f"unknown algorithm: {exc}") from None
-    return (p.block[:, 1 + ii] - p.block[:, 1 + jj]).ravel()
+    return (p.alpha[:, ii] - p.alpha[:, jj]).ravel()
 
 
 def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMatrix:
@@ -689,7 +691,7 @@ def rope_probability_matrix(p: PosteriorDraws, half_width: float) -> PairwiseMat
     k = len(p.algorithms)
     values = np.full((k, k), np.nan)
     for i, j in zip(*np.triu_indices(k, 1)):
-        inside = np.count_nonzero(np.abs(p.block[:, 1 + i] - p.block[:, 1 + j]) < half_width)
+        inside = np.count_nonzero(np.abs(p.alpha[:, i] - p.alpha[:, j]) < half_width)
         values[i, j] = values[j, i] = inside / (p.n_chains * p.draws_per_chain)
     return PairwiseMatrix(p.algorithms, values, "rope_prob")
 

@@ -313,9 +313,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Abort:
         return 1
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code

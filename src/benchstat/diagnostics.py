@@ -20,21 +20,22 @@ def psrf(chains, split: bool = False) -> Optional[float]:
     result is None (undefined) rather than NaN.
     """
     x = np.asarray(chains, dtype=float)
-    if x.ndim != 2:
-        raise InputError("psrf expects a 2-D (chains x draws) array")
-    if split:
+    if split and x.ndim == 2:
         half = x.shape[1] // 2
         x = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
-    _check_chains(*x.shape)
+    _check_chains(x, "psrf")
     return _defined(_moments(x[None])[0][0])
 
 
-def _check_chains(m: int, n: int):
-    """R-hat needs at least 2 chains of at least 2 draws each."""
-    if m < 2:
-        raise InputError("psrf requires at least 2 chains")
-    if n < 2:
-        raise InputError("psrf requires chains of length >= 2")
+def _check_chains(x: np.ndarray, caller: str):
+    """R-hat and ESS need a (chains, draws) array of at least 2 chains of at
+    least 2 draws each."""
+    if x.ndim != 2:
+        raise InputError(f"{caller} expects a 2-D (chains x draws) array")
+    if x.shape[0] < 2:
+        raise InputError(f"{caller} requires at least 2 chains")
+    if x.shape[1] < 2:
+        raise InputError(f"{caller} requires chains of length >= 2")
 
 
 # Lags computed as direct products, at every chain length, before a row's
@@ -143,10 +144,7 @@ def effective_sample_size(chains) -> float:
     """Total ESS across chains (per-chain autocorrelation, summed), capped at
     S log10(S) for S draws in all (see :func:`_moments`)."""
     x = np.asarray(chains, dtype=float)
-    if x.ndim != 2:
-        raise InputError("effective_sample_size expects a 2-D (chains x draws) array")
-    if x.shape[0] < 2:
-        raise InputError("effective_sample_size requires at least 2 chains")
+    _check_chains(x, "effective_sample_size")
     ess = _defined(_moments(x[None])[1][0])
     if ess is None:
         raise InputError("effective sample size undefined for a constant chain")
@@ -164,17 +162,16 @@ def diagnostic_report(draws: PosteriorDraws):
     """One (name, R-hat, ESS) row per monitored scalar parameter, computed
     over batches of columns of ``draws.block`` in one reused work buffer."""
     m, n_cols, n = draws.block.shape
-    _check_chains(m, n)
+    _check_chains(draws.block[:, 0], "psrf")
     # 1 MB of draws per batch, as in the draws file, and at most a sixteenth of the
     # block, so that the batch's work buffers stay small beside the draws
     step = max(1, min(_SLICE_DRAWS // (m * n), n_cols // 16))
-    names = [name for name, _ in draws.scalar_chains()]
     work = np.empty((2, step, m, n))
     rows = []
     for start in range(0, n_cols, step):
         x = draws.block[:, start : start + step].swapaxes(0, 1)
         r_hat, ess = _moments(x, work[:, : len(x)])
-        rows += map(DiagnosticRow, names[start : start + step], map(_defined, r_hat), map(_defined, ess))
+        rows += map(DiagnosticRow, draws.names[start : start + step], map(_defined, r_hat), map(_defined, ess))
     return rows
 
 
@@ -215,7 +212,6 @@ def posterior_predictive_check(
     rng = np.random.default_rng(seed)
     di, ai = np.nonzero(data.mask)
     y = data.values[di, ai]
-    a_cols, d_cols = 1 + ai, 1 + len(p.algorithms) + di  # each cell's effect columns
     picks = rng.choice(total, size=n_draws, replace=False)
     pairs = []
     greater = 0
@@ -223,9 +219,9 @@ def posterior_predictive_check(
     for idx in picks:
         # pooled draw idx is draw i of chain c; read it where it is stored
         c, i = divmod(int(idx), p.draws_per_chain)
-        state = p.block[c, :, i].copy()  # one strided copy of the draw, then gathers
-        nu = state[0] + state[a_cols] + state[d_cols]
-        s = state[-3]  # sigma0: a normal block ends sigma0, sigma_a, sigma_d
+        chain = p.chains[c]  # copy each strided effect row once, then gather from it
+        nu = chain.beta[i] + chain.alpha[i].copy()[ai] + chain.delta[i].copy()[di]
+        s = chain.sigma0[i]
         t_real = float(((y - nu) ** 2).sum() / (s * s))
         y_rep = nu + rng.normal(0.0, s, size=nu.shape)
         t_rep = float(((y_rep - nu) ** 2).sum() / (s * s))

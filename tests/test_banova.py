@@ -23,6 +23,7 @@ from benchstat import (
     gamma_shape_rate_from_mode_sd,
     load_draws,
     pairwise_difference_draws,
+    posterior_predictive_check,
     rope_probability_matrix,
     run_chains,
     save_draws,
@@ -33,6 +34,7 @@ from benchstat.banova import (
     PosteriorDraws,
     _binet,
     _binet_slopes,
+    _column_names,
     _degrees_of_freedom,
     _effect_scale,
     _truncated_gamma,
@@ -135,6 +137,17 @@ class TestRunChains:
             run_chains(spec, m, McmcConfig(chains=1), seed=0)
         with pytest.raises(InputError, match="kept"):
             run_chains(spec, m, McmcConfig(kept=0), seed=0)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_n_jobs_below_one_rejected_before_sampling(self, n_jobs, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(banova, "_run_chain", no_chain)
+        m = make_matrix([[0.1, 0.3], [0.2, 0.4]])
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=10, n_jobs=n_jobs)
+        with pytest.raises(InputError, match=f"^n_jobs must be >= 1, got {n_jobs}$"):
+            run_chains(build_model(m), m, cfg, seed=0)
 
     def test_one_kept_draw_rejected_before_sampling(self, monkeypatch):
         # psrf needs two draws per chain; no chain may run first
@@ -681,6 +694,19 @@ def hand_built_draws():
     return PosteriorDraws("normal", ("a", "b", "c"), ("d1", "d2"), block)
 
 
+ALGORITHMS, DATASETS = ("a", "b", "c"), ("d1", "d2")
+
+
+def column_valued_draws(variant):
+    """Two chains of four draws of ALGORITHMS and DATASETS in which column k
+    of chain c holds 2**k + c/4 throughout, so that every column and chain is
+    told apart by its value."""
+    k = np.arange(len(_column_names(variant, ALGORITHMS, DATASETS)))
+    block = np.empty((2, len(k), 4))
+    block[:] = 2.0 ** k[:, None] + np.arange(2)[:, None, None] / 4
+    return PosteriorDraws(variant, ALGORITHMS, DATASETS, block)
+
+
 class TestPairwiseDifferences:
     def _draws(self):
         rng = np.random.default_rng(4)
@@ -788,6 +814,51 @@ class TestDrawsBlock:
         with pytest.raises(ValueError, match="does not fit the labels"):
             PosteriorDraws(variant, ("a", "b"), ("d1", "d2", "d3"), np.zeros(shape))
 
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_every_reader_takes_the_column_its_name_gives(self, variant):
+        draws = column_valued_draws(variant)
+        names = _column_names(variant, ALGORITHMS, DATASETS)
+
+        def column(name):
+            """The (chains, draws) values of the column that ``names`` gives ``name``."""
+            return 2.0 ** names.index(name) + np.arange(2)[:, None] / 4 + np.zeros(4)
+
+        assert draws.names == names
+        assert [name for name, _ in draws.scalar_chains()] == names
+        for name, values in draws.scalar_chains():
+            np.testing.assert_array_equal(values, column(name), err_msg=name)
+        for views, kind, labels in ((draws.alpha, "alpha", ALGORITHMS), (draws.delta, "delta", DATASETS)):
+            assert views.shape == (2, len(labels), 4)
+            for j, label in enumerate(labels):
+                np.testing.assert_array_equal(views[:, j], column(f"{kind}[{label}]"))
+        for c, chain in enumerate(draws.chains):
+            for name in ("beta", "sigma0", "sigma_a", "sigma_d"):
+                np.testing.assert_array_equal(getattr(chain, name), column(name)[c], err_msg=name)
+            if variant == "robust":
+                np.testing.assert_array_equal(chain.df, column("df")[c])
+            else:
+                assert chain.df is None
+            np.testing.assert_array_equal(chain.alpha, np.stack([column(f"alpha[{a}]")[c] for a in ALGORITHMS], 1))
+            np.testing.assert_array_equal(chain.delta, np.stack([column(f"delta[{d}]")[c] for d in DATASETS], 1))
+        # alpha a, b and c hold 2, 4 and 8: gaps of 2 and 4 lie inside 5, 6 does not
+        np.testing.assert_array_equal(
+            rope_probability_matrix(draws, 5.0).values, [[np.nan, 1, 0], [1, np.nan, 1], [0, 1, np.nan]]
+        )
+        np.testing.assert_array_equal(pairwise_difference_draws(draws, "c", "a"), np.full(8, 6.0))
+
+    def test_ppc_reads_the_named_columns(self):
+        names = _column_names("normal", ALGORITHMS, DATASETS)
+        values = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        m = AggregatedMatrix(ALGORITHMS, DATASETS, values, np.ones_like(values, dtype=bool))
+        expected = []
+        for c in range(2):  # every draw of chain c gives one discrepancy of the real data
+            value = {name: 2.0 ** k + c / 4 for k, name in enumerate(names)}
+            nu = np.array([[value["beta"] + value[f"alpha[{a}]"] + value[f"delta[{d}]"] for a in ALGORITHMS]
+                           for d in DATASETS])
+            expected += 4 * [((values - nu) ** 2).sum() / value["sigma0"] ** 2]
+        result = posterior_predictive_check(column_valued_draws("normal"), m, n_draws=8, seed=0)
+        assert sorted(t for t, _ in result.discrepancies) == pytest.approx(sorted(expected), rel=1e-12)
+
     @pytest.mark.parametrize("source", ["sampled", "v2 file", "v1 file"])
     def test_every_read_is_a_view_of_the_block(self, tmp_path, source):
         if source == "v1 file":
@@ -802,7 +873,7 @@ class TestDrawsBlock:
         scalars = [values for _, values in draws.scalar_chains()]
         assert len(scalars) == draws.block.shape[1]
         fields = [v for c in draws.chains for v in vars(c).values() if v is not None]
-        for values in scalars + fields:
+        for values in scalars + fields + [draws.alpha, draws.delta]:
             assert np.shares_memory(values, draws.block)
 
 

@@ -576,9 +576,21 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == f"error: --alpha must be in (0, 1), got {float(alpha)}\n"
 
-    def test_unknown_flag_exit_2(self, synth_csv, capsys):
-        assert main(["rank", synth_csv, "--bogus"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["rank", "IN", "--bogus"], "No such option"),
+            (["rank", "IN", "--format", "xml"], "Invalid value for '--format'"),
+            (["rank"], "Missing argument 'INPUT_PATH'"),
+        ],
+        ids=["unknown option", "bad --format choice", "missing argument"],
+    )
+    def test_usage_error_exit_2_with_click_error_line(self, synth_csv, argv, error, capsys):
+        assert main([synth_csv if arg == "IN" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Usage: ")
+        assert captured.err.splitlines()[-1].startswith(f"Error: {error}")
 
     def test_zero_variance_bayes_exit_2(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

@@ -158,6 +158,11 @@ class TestEss:
         with pytest.raises(InputError, match="2 chains"):
             effective_sample_size(np.zeros((1, 50)))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (2, 1), (3, 1)])
+    def test_chains_of_fewer_than_two_draws_rejected(self, shape):
+        with pytest.raises(InputError, match="^effective_sample_size requires chains of length >= 2$"):
+            effective_sample_size(np.zeros(shape))
+
     @pytest.mark.parametrize("n", [4000, 4001])
     @pytest.mark.parametrize("phi", [-0.5, 0.0, 0.9])
     def test_chain_ess_matches_loop_on_ar1(self, phi, n):
