@@ -9,16 +9,21 @@ robust variant replaces the normal likelihood with a student-t of sampled
 degrees of freedom, implemented through the normal scale-mixture
 representation with one latent precision multiplier per cell.
 
-Sampling is component-wise: conjugate normal draws for the location
-parameters (vectorized over algorithms and over datasets), an exact draw of
-sigma0 (1/sigma0^2 is Gamma-distributed, truncated to the prior's range),
-exact draws of sigma_a, sigma_d and the degrees of freedom (rejection from
-tangent envelopes), plus two exact translation moves that trade mass between
-the grand mean and each block of effects to break the additive
-non-identifiability's slow mixing.  Every update is an exact draw, so
-nothing adapts and the adaptation phase acts as more burn-in.  The cells
-are held as a dense (datasets x algorithms) matrix in which missing cells
-carry zero weight.
+Sampling is blockwise Gibbs: conjugate normal draws of the location
+parameters, an exact draw of sigma0 (1/sigma0^2 is Gamma-distributed,
+truncated to the prior's range), and exact draws of sigma_a, sigma_d and the
+degrees of freedom (rejection from tangent envelopes).  The location draws
+take one of two sweeps.  On a complete table under the normal variant (a
+balanced design) the grand mean and every effect are drawn jointly and
+exactly given the scales, in O(A + D) per sweep, from the table's column
+and row means, its grand mean and its within-cell sum of squares.  With
+missing cells or the robust variant, each block of effects (vectorized over
+algorithms and over datasets) is drawn given the rest, and two exact
+translation moves trade mass between the grand mean and each block to break
+the additive non-identifiability's slow mixing.  Every update is an exact
+draw, so nothing adapts and the adaptation phase acts as more burn-in.  The
+cells are held as a dense (datasets x algorithms) matrix in which missing
+cells carry zero weight.
 """
 from __future__ import annotations
 
@@ -153,6 +158,9 @@ class McmcConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN fails too
                 raise InputError(f"{name} must be > 0, got {value!r}")
+        if self.fixed_sigma_a == self.fixed_sigma_d == math.inf:
+            # flat priors on both effect means leave their difference unidentified
+            raise InputError("fixed_sigma_a and fixed_sigma_d cannot both be inf: the posterior is improper")
 
 
 @dataclass
@@ -406,25 +414,78 @@ def _degrees_of_freedom(rng, n: int, c: float) -> tuple:
     )
 
 
-def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws) -> dict:
+def _balanced(spec: ModelSpec, present) -> bool:
+    """Whether :func:`_run_chain` takes the balanced sweep: the normal variant
+    on a table with every cell present."""
+    return spec.variant == "normal" and bool(present.all())
+
+
+def _cell_moments(y) -> tuple:
+    """Grand mean, column and row means less it, and the within-cell sum of
+    squares (of ``y`` less that additive fit) of a complete table ``y``."""
+    y_bar = float(y.mean())
+    col, row = y.mean(axis=0) - y_bar, y.mean(axis=1) - y_bar
+    within = y - y_bar - col - row[:, None]
+    return y_bar, col, row, float(np.vdot(within, within))
+
+
+def _centred_effects(effects, dev, means, z, prec_data: float, prec_prior: float) -> float:
+    """One exact draw of a balanced block's centred effects, in place.
+
+    Given the scales, effects less their mean are normal on the centred
+    subspace with precision prec = prec_data + prec_prior per effect and mean
+    k * means (``means`` centred, k = prec_data/prec): the draw is k * means +
+    (z - mean(z))/sqrt(prec).  ``dev`` receives means - effects, and the
+    return value is its squared norm.
+    """
+    prec = prec_data + prec_prior
+    np.multiply(means, prec_prior / prec, out=dev)  # (1 - k) * means
+    np.subtract(z, float(np.add.reduce(z)) / len(z), out=effects)
+    effects *= 1.0 / math.sqrt(prec)
+    dev -= effects
+    np.subtract(means, dev, out=effects)
+    return float(dev.dot(dev))
+
+
+def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws, after_sweep=None) -> dict:
     """One chain on the dense (datasets x algorithms) cell matrix ``y``.
 
-    ``y`` is 0 and the latent precisions ``lam`` are 0 on missing cells, so
-    those cells drop out of every weighted sum; the normal variant keeps
-    ``lam`` at the 0/1 mask.  Scaled by sigma0^2, alpha | rest is normal with
-    mean rhs/den and sd sigma0/sqrt(den), where den = col_l +
-    sigma0^2/sigma_a^2 and rhs = col_ly - beta*col_l - delta @ lam (col_l and
-    col_ly the column sums of lam and lam*y); delta | rest is the same with
-    rows for columns.  So each block's draw is (rhs + sigma0 sqrt(den) z)/den.
+    Balanced sweep (the normal variant on a complete table, :func:`_balanced`).
+    Given sigma0, sigma_a and sigma_d, the centred effects alpha - mean(alpha)
+    and delta - mean(delta) and the triple (beta, mean(alpha), mean(delta))
+    are three independent blocks (Roberts & Sahu 1997).  Each block of
+    centred effects is drawn by :func:`_centred_effects` from the column (or
+    row) means less the grand mean y_bar, with prec_data = D/sigma0^2 (or
+    A/sigma0^2).  The triple is three normal priors (precisions beta_prec0,
+    A/sigma_a^2 and D/sigma_d^2) tied by y_bar, an observation of their sum s
+    with precision n/sigma0^2: s is drawn from its posterior, then mean(delta)
+    and mean(alpha) given s, in precisions, so that a zero prior precision (a
+    pinned infinite scale) stays finite.  The sum of squares of sigma0 is the
+    within-cell part, computed once, plus D |col - centred alpha|^2 + A |row -
+    centred delta|^2 + n (y_bar - s)^2.  A sweep is O(A + D).
 
-    Each rhs is one vector-matrix product with an augmented matrix, rebuilt
-    only when ``lam`` changes (robust): ``aug_a`` = [col_ly; col_l; lam]
-    ((2 + D) x A) and ``aug_d`` = [row_ly; row_l; lam.T] ((2 + A) x D).  The
-    vectors are ``vec_a`` = [-1, beta, delta] and ``vec_d`` = [-1, beta,
-    alpha], which give -rhs; delta and alpha are views of their tails, so a
-    draw written in place updates the vector the other block reads.  Writes
-    the kept draws into the views of ``kept`` and returns the sampler
-    counters: proposals per draw of sigma_a, sigma_d and df.
+    General sweep (missing cells or the robust variant).  ``y`` is 0 and the
+    latent precisions ``lam`` are 0 on missing cells, so those cells drop out
+    of every weighted sum; the normal variant keeps ``lam`` at the 0/1 mask.
+    Scaled by sigma0^2, alpha | rest is normal with mean rhs/den and sd
+    sigma0/sqrt(den), where den = col_l + sigma0^2/sigma_a^2 and rhs = col_ly
+    - beta*col_l - delta @ lam (col_l and col_ly the column sums of lam and
+    lam*y); delta | rest is the same with rows for columns.  So each block's
+    draw is (rhs + sigma0 sqrt(den) z)/den.  Each rhs is one vector-matrix
+    product with an augmented matrix, rebuilt only when ``lam`` changes
+    (robust): ``aug_a`` = [col_ly; col_l; lam] ((2 + D) x A) and ``aug_d`` =
+    [row_ly; row_l; lam.T] ((2 + A) x D).  The vectors are ``vec_a`` = [-1,
+    beta, delta] and ``vec_d`` = [-1, beta, alpha], which give -rhs; delta and
+    alpha are views of their tails, so a draw written in place updates the
+    vector the other block reads.  Two exact translation moves then trade mass
+    between beta and each block of effects.
+
+    Writes the kept draws into the views of ``kept`` and returns the sampler
+    counters: proposals per draw of sigma_a, sigma_d and df.  ``after_sweep``,
+    when given, is called after every sweep as ``after_sweep(rng, y, lam,
+    beta, alpha, delta, sigma0)`` on the chain's own copy of ``y``, which it
+    may redraw in place (a joint-distribution test does); the chain then
+    recomputes what it derives from ``y``.
     """
     rng = np.random.default_rng(seed)
     normal, gamma = rng.standard_normal, rng.standard_gamma
@@ -432,6 +493,9 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     mask = present.astype(float)
     n = int(present.sum())
     robust = spec.variant == "robust"
+    balanced = _balanced(spec, present)
+    if after_sweep is not None:
+        y = y.copy()
 
     aug_a, aug_d = np.empty((2 + n_ds, n_alg)), np.empty((2 + n_alg, n_ds))
     vec_a, vec_d = np.zeros(2 + n_ds), np.zeros(2 + n_alg)
@@ -464,8 +528,9 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     keep_beta, keep_alpha, keep_delta = kept.beta, kept.alpha, kept.delta
     keep_sigma0, keep_sigma_a, keep_sigma_d, keep_df = kept.sigma0, kept.sigma_a, kept.sigma_d, kept.df
 
-    # buffers: one normal per location draw and translation move, and each
-    # block's -rhs and den
+    # buffers: one normal per location draw and translation move (on the
+    # balanced sweep, per draw of s, mean(delta) and mean(alpha)), each
+    # block's -rhs and den, and the balanced sweep's deviations
     z = np.empty(1 + n_alg + n_ds + 2)
     z_effects, z_a, z_d = z[1:-2], z[1 : 1 + n_alg], z[1 + n_alg : -2]
     rhs_a, den_a, rhs_d, den_d = np.empty(n_alg), np.empty(n_alg), np.empty(n_ds), np.empty(n_ds)
@@ -482,54 +547,75 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
         aug_d[2:] = lam.T
         return float(np.add.reduce(col_l)), float(np.add.reduce(aug_a[0]))
 
-    sum_l, sum_ly = lam_sums()
+    if balanced:
+        y_bar, col_c, row_c, within = _cell_moments(y)
+    else:
+        sum_l, sum_ly = lam_sums()
     for it in range(total):
         inv_s0sq = 1.0 / (sigma0 * sigma0)
         normal(out=z)
 
-        # beta | rest
-        prec = sum_l * inv_s0sq + beta_prec0
-        swr = sum_ly - float(col_l.dot(alpha)) - float(row_l.dot(delta))
-        beta = (swr * inv_s0sq + beta_mean * beta_prec0) / prec + z.item(0) / math.sqrt(prec)
-        vec_a[1] = vec_d[1] = beta
+        if balanced:
+            # centred effects, then (beta, mean(alpha), mean(delta)) through
+            # their sum s and two draws given it, with p_a, p_d the prior
+            # precisions of the effect means and e2 = p_a p_d + beta_prec0 (p_a + p_d)
+            ss = (within + n_ds * _centred_effects(alpha, rhs_a, col_c, z_a, n_ds * inv_s0sq, sigma_a**-2)
+                  + n_alg * _centred_effects(delta, rhs_d, row_c, z_d, n_alg * inv_s0sq, sigma_d**-2))
+            p_a, p_d, p_y = n_alg / sigma_a**2, n_ds / sigma_d**2, n * inv_s0sq
+            e2 = p_a * p_d + beta_prec0 * (p_a + p_d)
+            prec = beta_prec0 * p_a * p_d / e2 + p_y
+            s = beta_mean + (p_y * (y_bar - beta_mean) + z.item(0) * math.sqrt(prec)) / prec
+            d_bar = (p_a * beta_prec0 * (s - beta_mean) + z.item(-2) * math.sqrt(e2 * (p_a + beta_prec0))) / e2
+            a_bar = (beta_prec0 * (s - beta_mean - d_bar) + z.item(-1) * math.sqrt(p_a + beta_prec0)) / (
+                p_a + beta_prec0)
+            beta = s - a_bar - d_bar
+            alpha += a_bar
+            delta += d_bar
+            ss += n * (y_bar - s) ** 2
+        else:
+            # beta | rest
+            prec = sum_l * inv_s0sq + beta_prec0
+            swr = sum_ly - float(col_l.dot(alpha)) - float(row_l.dot(delta))
+            beta = (swr * inv_s0sq + beta_mean * beta_prec0) / prec + z.item(0) / math.sqrt(prec)
+            vec_a[1] = vec_d[1] = beta
 
-        # alpha | rest (conditionally independent across algorithms), then
-        # delta | rest: (sigma0 sqrt(den) z - (-rhs))/den, written in place
-        z_effects *= sigma0
-        vec_a.dot(aug_a, rhs_a)
-        np.add(col_l, (sigma0 / sigma_a) ** 2, out=den_a)
-        np.sqrt(den_a, out=alpha)
-        alpha *= z_a
-        alpha -= rhs_a
-        alpha /= den_a
-        vec_d.dot(aug_d, rhs_d)
-        np.add(row_l, (sigma0 / sigma_d) ** 2, out=den_d)
-        np.sqrt(den_d, out=delta)
-        delta *= z_d
-        delta -= rhs_d
-        delta /= den_d
+            # alpha | rest (conditionally independent across algorithms), then
+            # delta | rest: (sigma0 sqrt(den) z - (-rhs))/den, written in place
+            z_effects *= sigma0
+            vec_a.dot(aug_a, rhs_a)
+            np.add(col_l, (sigma0 / sigma_a) ** 2, out=den_a)
+            np.sqrt(den_a, out=alpha)
+            alpha *= z_a
+            alpha -= rhs_a
+            alpha /= den_a
+            vec_d.dot(aug_d, rhs_d)
+            np.add(row_l, (sigma0 / sigma_d) ** 2, out=den_d)
+            np.sqrt(den_d, out=delta)
+            delta *= z_d
+            delta -= rhs_d
+            delta /= den_d
 
-        # translation moves: shift mass between beta and each effect block
-        # (likelihood-invariant direction, sampled from its exact conditional)
-        t_prec = n_alg / sigma_a**2 + beta_prec0
-        t_mean = (float(np.add.reduce(alpha)) / sigma_a**2 + (beta_mean - beta) * beta_prec0) / t_prec
-        t = t_mean + z.item(-2) / math.sqrt(t_prec)
-        beta += t
-        alpha -= t
-        t_prec = n_ds / sigma_d**2 + beta_prec0
-        t_mean = (float(np.add.reduce(delta)) / sigma_d**2 + (beta_mean - beta) * beta_prec0) / t_prec
-        t = t_mean + z.item(-1) / math.sqrt(t_prec)
-        beta += t
-        delta -= t
+            # translation moves: shift mass between beta and each effect block
+            # (likelihood-invariant direction, sampled from its exact conditional)
+            t_prec = n_alg / sigma_a**2 + beta_prec0
+            t_mean = (float(np.add.reduce(alpha)) / sigma_a**2 + (beta_mean - beta) * beta_prec0) / t_prec
+            t = t_mean + z.item(-2) / math.sqrt(t_prec)
+            beta += t
+            alpha -= t
+            t_prec = n_ds / sigma_d**2 + beta_prec0
+            t_mean = (float(np.add.reduce(delta)) / sigma_d**2 + (beta_mean - beta) * beta_prec0) / t_prec
+            t = t_mean + z.item(-1) / math.sqrt(t_prec)
+            beta += t
+            delta -= t
 
-        np.subtract(y, beta + alpha, out=r2)
-        r2 -= delta_col
-        r2 *= r2
+            np.subtract(y, beta + alpha, out=r2)
+            r2 -= delta_col
+            r2 *= r2
+            ss = float(np.vdot(lam, r2))
 
         # sigma0 | rest: uniform prior, exact truncated-Gamma draw of 1/sigma0^2
         if cfg.fixed_sigma0 is None:
-            ss = max(float(np.vdot(lam, r2)), 1e-300)
-            sigma0 = 1.0 / math.sqrt(_truncated_gamma(rng, (n - 1) / 2.0, ss / 2.0, tau_lo, tau_hi))
+            sigma0 = 1.0 / math.sqrt(_truncated_gamma(rng, (n - 1) / 2.0, max(ss, 1e-300) / 2.0, tau_lo, tau_hi))
 
         # sigma_a, sigma_d | rest: Gamma(mode/sd) prior on the scale itself
         if cfg.fixed_sigma_a is None:
@@ -551,6 +637,13 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
                 c = sum_l - float(np.log(lam + missing).sum()) - n + 2.0 * spec.df_rate
                 df, m = _degrees_of_freedom(rng, n, c)
                 proposals["df"] = proposals.get("df", 0) + m
+
+        if after_sweep is not None:
+            after_sweep(rng, y, lam, beta, alpha, delta, sigma0)
+            if balanced:
+                y_bar, col_c, row_c, within = _cell_moments(y)
+            else:
+                sum_l, sum_ly = lam_sums()
 
         if it >= start and (it - start + 1) % cfg.thinning == 0:
             keep_beta[k] = beta
@@ -583,6 +676,7 @@ def run_chains(
     data: AggregatedMatrix,
     cfg: McmcConfig = None,
     seed: int = 0,
+    after_sweep=None,
 ) -> PosteriorDraws:
     """Sample the posterior with independent chains; reproducible per seed.
 
@@ -594,7 +688,8 @@ def run_chains(
     another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
     every sampled sigma_a, sigma_d and df, ``meta["versions"]`` the
     benchstat, numpy and Python versions that drew them, and
-    ``meta["data_sha256"]`` the digest of ``data``.
+    ``meta["data_sha256"]`` the digest of ``data``.  ``after_sweep`` goes to
+    every chain's :func:`_run_chain`; forked workers inherit it.
     """
     if cfg is None:
         cfg = McmcConfig()
@@ -619,7 +714,8 @@ def run_chains(
     block = _draws_block((cfg.chains, len(names), cfg.kept))
     draws = PosteriorDraws(spec.variant, data.algorithms, data.datasets, block)
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
-    jobs = [(spec, y, present, cfg, s, c) for s, c in zip(child_seeds, draws.chains)]
+    hook = () if after_sweep is None else (after_sweep,)  # a _run_chain of six arguments still runs
+    jobs = [(spec, y, present, cfg, s, c, *hook) for s, c in zip(child_seeds, draws.chains)]
     if workers > 1:
         # imported here, as a one-worker run never needs them
         import concurrent.futures

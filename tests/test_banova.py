@@ -254,6 +254,13 @@ class TestRunChains:
         with pytest.raises(ComputationError, match=f"^non-finite draws of {pinned} encountered$"):
             run_chains(build_model(m), m, cfg, seed=0)
 
+    def test_both_effect_scales_pinned_infinite_rejected(self, monkeypatch):
+        monkeypatch.setattr(banova, "_run_chain", lambda *args: pytest.fail("a chain ran"))
+        m, _ = synthetic_matrix(np.random.default_rng(13), 3, 8)
+        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20, fixed_sigma_a=math.inf, fixed_sigma_d=math.inf)
+        with pytest.raises(InputError, match="^fixed_sigma_a and fixed_sigma_d cannot both be inf"):
+            run_chains(build_model(m), m, cfg, seed=0)
+
     @needs_fork
     def test_dead_worker_is_a_computation_error(self, monkeypatch):
         # the forked workers inherit the patched module attribute
@@ -330,6 +337,53 @@ class TestRunChains:
         weight = np.exp(loglik - loglik.max())
         exact = np.trapezoid(grid * weight, grid) / np.trapezoid(weight, grid)
         assert abs(sigma0.mean() - exact) < 3 * mcse, (sigma0.mean(), exact, mcse)
+
+
+def _agreement_z(x, y):
+    """z of the gap between the means of two independent (chains, draws) samples."""
+    se2 = sum(v.var() / effective_sample_size(v) for v in (x, y))
+    return abs(x.mean() - y.mean()) / math.sqrt(se2)
+
+
+class TestBalancedSweep:
+    """The normal variant on a complete table takes the balanced sweep."""
+
+    @pytest.mark.parametrize(
+        "variant, hole, balanced",
+        [("normal", False, True), ("normal", True, False), ("robust", False, False)],
+        ids=["complete normal", "one missing cell", "robust"],
+    )
+    def test_dispatch(self, variant, hole, balanced, monkeypatch):
+        m, _ = synthetic_matrix(np.random.default_rng(22), 3, 8)
+        if hole:
+            m.values[2, 1] = np.nan
+            m.mask[2, 1] = False
+        spec = build_model(m, variant)
+        assert banova._balanced(spec, m.mask) == balanced
+        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=30)
+        own = run_chains(spec, m, cfg, seed=3).block
+        monkeypatch.setattr(banova, "_balanced", lambda spec, present: False)
+        general = run_chains(spec, m, cfg, seed=3).block
+        assert np.array_equal(own, general) != balanced
+
+    def test_balanced_and_general_sweeps_agree(self, monkeypatch):
+        # every scalar's mean and second central moment, and every alpha
+        # difference's mean, from 4 x 10,000 draws of each sweep
+        m, _ = synthetic_matrix(np.random.default_rng(23), 4, 12)
+        spec = build_model(m)
+        cfg = McmcConfig(chains=4, burn_in=500, adaptation=0, kept=10_000, n_jobs=2)
+        balanced = run_chains(spec, m, cfg, seed=5)
+        monkeypatch.setattr(banova, "_balanced", lambda spec, present: False)
+        general = run_chains(spec, m, cfg, seed=6)
+        scores = {}
+        for (name, x), (_, y) in zip(balanced.scalar_chains(), general.scalar_chains()):
+            scores[name] = _agreement_z(x, y)
+            scores[f"{name} second central moment"] = _agreement_z((x - x.mean()) ** 2, (y - y.mean()) ** 2)
+        for i, j in zip(*np.triu_indices(m.n_algorithms, 1)):
+            diff = [d.alpha[:, i] - d.alpha[:, j] for d in (balanced, general)]
+            scores[f"alpha[{m.algorithms[i]}] - alpha[{m.algorithms[j]}]"] = _agreement_z(*diff)
+        assert len(scores) == 2 * (1 + 4 + 12 + 3) + 6
+        assert max(scores.values()) <= 4.5, scores
 
 
 def reference_chain(spec, y, present, cfg, seed, kept):

@@ -25,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 ERRORS = str(GOLDEN / "errors.csv")
 TIMING = str(GOLDEN / "timing.csv")
 SYNTH_SPEC = str(GOLDEN / "synth-spec.json")
+SYNTH = str(GOLDEN / "synth.csv")  # complete, so bayes takes the balanced sweep
 EXT = {"csv": "csv", "markdown": "md", "json": "json"}
 MCMC = ["--seed", "11", "--chains", "2", "--burn-in", "100", "--adaptation", "100", "--kept", "200"]
 
@@ -49,6 +50,10 @@ def _cases() -> dict:
                 ["bayes", ERRORS, "--variant", variant, "--save", "{out}.draws"] + MCMC + report,
                 ["bayes", ERRORS, "--load", "{out}.draws", "--format", fmt, "--out", f"{{out}}.load.{ext}"],
             ]
+    cases["bayes-complete-csv"] = [
+        ["bayes", SYNTH, "--save", "{out}.draws", "--out", "{out}.csv"] + MCMC,
+        ["bayes", SYNTH, "--load", "{out}.draws", "--out", "{out}.load.csv"],
+    ]
     cases["rank-heatmap"] = [
         ["rank", ERRORS, "--out", "{out}.csv", "--heatmap-csv", "{out}.heat.csv",
          "--heatmap-svg", "{out}.heat.svg"]
@@ -72,8 +77,11 @@ CASES = _cases()
 # scipy-openblas 0.3.31 (DYNAMIC_ARCH) dispatching to the SkylakeX kernels.
 # Another BLAS kernel may round the sweep's dot products differently in the
 # last bit; the report bytes and test_banova's TestReferenceSweep, which
-# compare to printed digits and to 1e-10, still hold there.
+# compare to printed digits and to 1e-10, still hold there.  synth.csv is
+# complete, so its case pins the balanced sweep; errors.csv has a missing
+# cell, so the other two pin the general one.
 BLOCK_SHA256 = {
+    "bayes-complete-csv": "149947980eed01fad0541eca3a46492326127a923bf04cb4b3d484b564fa3d42",
     "bayes-csv": "7f9f7784ac8b2108841985bd45ccdd5848b065c1127022406d02ccaa48acf11e",
     "bayes-robust-csv": "0f9710d58d2dc2afa765251ee006ecd8a5f02f99dc0f7f435c46b31cf4056133",
 }
