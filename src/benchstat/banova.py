@@ -699,6 +699,19 @@ def run_chains(
             f"fixed_sigma0={cfg.fixed_sigma0!r} is outside the sigma0 prior range "
             f"[{spec.sigma0_low!r}, {spec.sigma0_high!r}]"
         )
+    for name in ("fixed_sigma_a", "fixed_sigma_d"):
+        # a finite pin must keep every term the sweeps build from it finite and nonzero, at the
+        # sigma0 prior range's ends, for up to every cell, and with both scales pinned to it:
+        # p_a * p_d is at least sigma^-4, and the largest product, e2 * (p_a + beta_prec0), at
+        # most 6 m^3 with m = cells/sigma^2 + beta_prec0
+        sigma = np.float64(getattr(cfg, name) or math.inf)
+        with np.errstate(over="ignore", under="ignore"):
+            inv, m = sigma**-2, data.mask.size * sigma**-2 + spec.beta_sd**-2
+            terms = np.array([sigma * sigma, inv, inv * inv, data.mask.size * inv, 6 * m**3,
+                              (spec.sigma0_low / sigma) ** 2, (spec.sigma0_high / sigma) ** 2])
+        if sigma < math.inf and not ((terms > 0) & (terms < math.inf)).all():
+            raise InputError(f"{name}={getattr(cfg, name)!r} is outside the range where the sampler's terms "
+                             "stay finite and nonzero; pin inf for a flat prior")
     # canonical name order inside the sampler, so reordering the input
     # columns/rows permutes the draws exactly (same seed, same RNG stream)
     perm_a = np.argsort(np.asarray(data.algorithms))
@@ -714,8 +727,7 @@ def run_chains(
     block = _draws_block((cfg.chains, len(names), cfg.kept))
     draws = PosteriorDraws(spec.variant, data.algorithms, data.datasets, block)
     child_seeds = np.random.SeedSequence(seed).spawn(cfg.chains)
-    hook = () if after_sweep is None else (after_sweep,)  # a _run_chain of six arguments still runs
-    jobs = [(spec, y, present, cfg, s, c, *hook) for s, c in zip(child_seeds, draws.chains)]
+    jobs = [(spec, y, present, cfg, s, c, after_sweep) for s, c in zip(child_seeds, draws.chains)]
     if workers > 1:
         # imported here, as a one-worker run never needs them
         import concurrent.futures

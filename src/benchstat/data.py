@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import repeat
 from operator import iadd
@@ -40,8 +40,6 @@ import numpy as np
 from .errors import InputError
 from .render import csv_table
 
-ERROR_HEADER = ["dataset", "algorithm", "subset", "test_error", "cv_error"]
-TIMING_HEADER = ERROR_HEADER[:3] + ["train_test_seconds", "hyper_search_seconds", "n_hyper_combos"]
 INT64_MAX = int(np.iinfo(np.int64).max)  # the largest n_hyper_combos a timing cube holds
 
 
@@ -87,6 +85,11 @@ class TimingRecord:
             raise InputError(f"n_hyper_combos must be >= 1, got {self.n_hyper_combos}")
         if self.n_hyper_combos > INT64_MAX:
             raise InputError(f"n_hyper_combos must be <= {INT64_MAX}, got {self.n_hyper_combos}")
+
+
+# a table's CSV header is its record's fields
+ERROR_HEADER = [f.name for f in fields(ErrorRecord)]
+TIMING_HEADER = [f.name for f in fields(TimingRecord)]
 
 
 class RowError(InputError):
@@ -152,8 +155,7 @@ class _RecordTable:
     """
 
     record: type
-    headers: tuple  # accepted CSV headers; the first is the one error messages name
-    columns: tuple  # the value columns, after dataset, algorithm and subset
+    headers: tuple  # accepted CSV headers; the first, the record's fields, is the one error messages name
 
     def __init__(self, rows: list, width: int):
         """The table of ``rows``, lists of ``width`` CSV fields; ``width`` is
@@ -205,7 +207,7 @@ class _RecordTable:
             key = (self.datasets[d[r]], self.algorithms[a[r]], int(s[r]) + 1)
             raise RowError(r, f"duplicate key {key}", int((cell == cell[r]).argmax()))
         self.cubes = {}
-        for name, column in zip(self.columns, values):
+        for name, column in zip(self.headers[0][3:], values):  # after dataset, algorithm and subset
             cube = np.zeros(order.shape, dtype=column.dtype)
             if column.dtype.kind == "f":
                 cube.fill(np.nan)
@@ -248,7 +250,6 @@ class ErrorTable(_RecordTable):
 
     record = ErrorRecord
     headers = (ERROR_HEADER, ERROR_HEADER[:4])
-    columns = ("test_error", "cv_error")
 
     @staticmethod
     def _convert(columns: list) -> tuple:
@@ -270,7 +271,6 @@ class TimingTable(_RecordTable):
 
     record = TimingRecord
     headers = (TIMING_HEADER,)
-    columns = ("train_test_seconds", "hyper_search_seconds", "n_hyper_combos")
 
     @staticmethod
     def _convert(columns: list) -> tuple:
@@ -518,5 +518,5 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> ErrorTable:
 
 def error_table_to_csv(table: ErrorTable, comment: Optional[str] = None) -> str:
     """Render an error table back to its CSV wire format, ``comment``'s lines as '#' lines first."""
-    rows = [(r.dataset, r.algorithm, r.subset, r.test_error, "" if r.cv_error is None else r.cv_error) for r in table]
+    rows = [["" if value is None else value for value in vars(r).values()] for r in table]
     return "".join(f"# {line}\n" for line in (comment or "").splitlines()) + csv_table(ERROR_HEADER, rows)

@@ -1,19 +1,20 @@
 """Rendering of analysis results to CSV, markdown and JSON.
 
-All three formats run every number through the same 6-significant-digit
-formatter, so a value printed in one format matches the others exactly.
+:func:`serialise` writes every table, and every float cell in it through
+the same 6-significant-digit formatter, so a value printed in one format
+matches the others exactly; counts and names are written as they are.
 """
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError
 
 if TYPE_CHECKING:  # annotations only: ranks imports this module, and nhst imports ranks
-    from .nhst import FriedmanResult, PairwiseMatrix
-    from .threshold import ThresholdReport
+    from .nhst import PairwiseMatrix
 
 FORMATS = ("csv", "markdown", "json")
 
@@ -50,44 +51,40 @@ def _markdown_table(header, rows) -> str:
 def serialise(format: str, header, rows, shape=lambda records: records, note=None) -> str:
     """Write one table model, a header plus rows, in ``format``.
 
-    JSON is ``shape`` applied to the rows as header-keyed objects, plus a
-    ``note`` key when there is a note.  A None cell is an undefined value:
-    JSON null, "undefined" in csv and markdown.  The note follows the csv
-    table as a comment line and the markdown table as a paragraph.
+    A float cell (numpy's float64 too) is written by :func:`fmt`; a None
+    cell is an undefined value: JSON null, "undefined" in csv and markdown;
+    any other cell passes through.  JSON is ``shape`` applied to the rows as
+    header-keyed objects, plus a ``note`` key when there is a note.  The note
+    follows the csv table as a comment line and the markdown table as a
+    paragraph.
     """
     if format not in FORMATS:
         raise InputError(f"unknown format {format!r}, want one of {FORMATS}")
+    undefined = None if format == "json" else "undefined"
+    rows = [[fmt(c) if isinstance(c, float) else undefined if c is None else c for c in row] for row in rows]
     if format == "json":
         obj = shape([dict(zip(header, row)) for row in rows])
         if note:
             obj["note"] = note
         return json.dumps(obj, indent=2) + "\n"
-    rows = [["undefined" if c is None else c for c in row] for row in rows]
     if format == "csv":
         return csv_table(header, rows) + (f"# {note}\n" if note else "")
     return _markdown_table(header, rows) + (f"\n{note}\n" if note else "")
 
 
-def _single(records):
-    return records[0]
-
-
 def render_rank_summary(summary, format: str = "csv") -> str:
     """Table of (algorithm, mean rank, times ranked first)."""
-    rows = [(a, fmt(m), c) for a, m, c in summary]
-    return serialise(format, ["algorithm", "mean_rank", "top_count"], rows)
+    return serialise(format, ["algorithm", "mean_rank", "top_count"], summary)
 
 
-def render_friedman(result: FriedmanResult, format: str = "csv") -> str:
-    header = ["statistic", "dof", "p_value", "n_subjects", "k_treatments"]
-    row = (
-        fmt(result.statistic),
-        result.dof,
-        fmt(result.p_value),
-        result.n_subjects,
-        result.k_treatments,
-    )
-    return serialise(format, header, [row], _single)
+def _render_record(record, format: str = "csv") -> str:
+    """A one-row report: the dataclass ``record``'s field names as the
+    header, its field values as the row; JSON is the row's one object."""
+    header = [f.name for f in fields(record)]
+    return serialise(format, header, [[getattr(record, name) for name in header]], lambda rows: rows[0])
+
+
+render_friedman = render_threshold = _render_record  # a FriedmanResult, a ThresholdReport
 
 
 def render_pairwise(
@@ -115,30 +112,12 @@ def render_pairwise(
     else:
         header = ["algorithm_a", "algorithm_b", "value"] + (["significant"] if flag else [])
         rows = [
-            [names[i], names[j], fmt(m.values[i, j])]
+            [names[i], names[j], m.values[i, j]]
             + ([bool(m.values[i, j] < alpha)] if flag else [])
             for i in range(len(names))
             for j in range(i + 1, len(names))
         ]
     return serialise(format, header, rows, lambda pairs: {"kind": m.kind, "pairs": pairs})
-
-
-def render_threshold(report: ThresholdReport, format: str = "csv") -> str:
-    header = [
-        "median_delta_resample",
-        "median_delta_cv",
-        "threshold",
-        "n_pairs_used",
-        "n_cv_values",
-    ]
-    row = (
-        fmt(report.median_delta_resample),
-        fmt(report.median_delta_cv),
-        fmt(report.threshold),
-        report.n_pairs_used,
-        report.n_cv_values,
-    )
-    return serialise(format, header, [row], _single)
 
 
 def render_diagnostics(rows, format: str = "csv") -> str:
@@ -147,7 +126,7 @@ def render_diagnostics(rows, format: str = "csv") -> str:
     return serialise(
         format,
         ["parameter", "r_hat", "ess"],
-        [(r.parameter, fmt(r.r_hat), fmt(r.ess)) for r in rows],
+        [(r.parameter, r.r_hat, r.ess) for r in rows],
         lambda records: {"parameters": records},
         note="multivariate PSRF not computed (single-parameter diagnostics only)",
     )
@@ -155,4 +134,4 @@ def render_diagnostics(rows, format: str = "csv") -> str:
 
 def ppc_scatter_csv(pairs) -> str:
     """``t_real,t_rep`` rows for external scatter plotting."""
-    return csv_table(["t_real", "t_rep"], [(fmt(t_real), fmt(t_rep)) for t_real, t_rep in pairs])
+    return serialise("csv", ["t_real", "t_rep"], pairs)

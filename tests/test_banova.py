@@ -261,6 +261,27 @@ class TestRunChains:
         with pytest.raises(InputError, match="^fixed_sigma_a and fixed_sigma_d cannot both be inf"):
             run_chains(build_model(m), m, cfg, seed=0)
 
+    @pytest.mark.parametrize("path", ["balanced", "general", "robust"])
+    def test_extreme_finite_effect_scale_pins_rejected(self, path, monkeypatch):
+        # a finite pin that would overflow a term of the sweep, or make one zero, never reaches a chain
+        m, _ = synthetic_matrix(np.random.default_rng(13), 3, 8)
+        if path != "balanced":
+            m.values[1, 2] = np.nan
+            m.mask[1, 2] = False
+        spec = build_model(m, "robust" if path == "robust" else "normal")
+        assert banova._balanced(spec, m.mask) == (path == "balanced")
+        cfg = McmcConfig(chains=2, burn_in=10, adaptation=10, kept=20)
+        for value in (0.03, 1e-40, 1e70):  # inside the range: the chains run
+            for name in ("fixed_sigma_a", "fixed_sigma_d"):
+                draws = run_chains(spec, m, dataclasses.replace(cfg, **{name: value}), seed=0)
+                assert np.isfinite(draws.block).all()
+        monkeypatch.setattr(banova, "_run_chain", lambda *args: pytest.fail("a chain ran"))
+        for name, value in [("fixed_sigma_a", 1e200), ("fixed_sigma_d", 1e200), ("fixed_sigma_a", 1e-200),
+                            ("fixed_sigma_a", 1e-150), ("fixed_sigma_d", 1e-150), ("fixed_sigma_a", 1e150)]:
+            match = f"^{name}={re.escape(repr(value))} is outside the range where .* pin inf for a flat prior$"
+            with pytest.raises(InputError, match=match):
+                run_chains(spec, m, dataclasses.replace(cfg, **{name: value}), seed=0)
+
     @needs_fork
     def test_dead_worker_is_a_computation_error(self, monkeypatch):
         # the forked workers inherit the patched module attribute
@@ -386,10 +407,12 @@ class TestBalancedSweep:
         assert max(scores.values()) <= 4.5, scores
 
 
-def reference_chain(spec, y, present, cfg, seed, kept):
+def reference_chain(spec, y, present, cfg, seed, kept, after_sweep=None):
     """The sweep as plain, unfused numpy: the statement ``banova._run_chain``
     must agree with, to rounding.  Same conditionals, same order, same random
-    stream; every weighted sum is taken of W = lam / sigma0^2 as written."""
+    stream; every weighted sum is taken of W = lam / sigma0^2 as written.  It
+    takes no ``after_sweep`` hook."""
+    assert after_sweep is None, "reference_chain takes no after_sweep hook"
     rng = np.random.default_rng(seed)
     n_ds, n_alg = y.shape
     mask = present.astype(float)
