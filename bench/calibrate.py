@@ -12,17 +12,18 @@ marginal must be its prior (Geweke 2004, *Getting it right: joint
 distribution tests of posterior simulators*, JASA). A sweep that leaves the
 posterior of some table not invariant shows as a prior moment missed.
 
-The model is one fixed ``ModelSpec`` (``geweke_spec``): 4 algorithms x 10
-datasets; beta ~ N(0.5, 0.5^2), sigma0 ~ U[0.001, 1], effect scales Gamma
-with mode 0.05 and sd 0.2, df ~ Exp(rate 1/30). Three paths of the sampler:
-``balanced`` (normal, every cell present), ``general`` (normal, one cell
-missing) and ``robust`` (every cell present). Each runs 4 chains of 1,000
-burn-in and ``--kept`` kept sweeps on 2 workers, and scores the means of beta,
-alpha_1 (the first algorithm's effect), sigma0, sigma_a, sigma_d (and df)
-and the second moments (beta - 0.5)^2 and alpha_1^2 against their prior
-values as z = (mean - prior mean) / MCSE, the MCSE from the bulk ESS of
-perfbench's reference ``convergence``. ``tests/test_geweke.py`` asks |z| <= 4.5
-of every statistic at 4 x 20,000 kept sweeps.
+The model is one fixed ``ModelSpec`` (``geweke_spec``), that of data mean 0.5
+and sd 0.1, on 4 algorithms x 10 datasets: beta ~ N(0.5, 0.5^2), sigma0 ~
+U[0.001, 1], effect scales Gamma with mode 0.05 and sd 0.2, df ~ Exp(rate
+1/30). Three paths of the sampler: ``balanced`` (normal, every cell present),
+``general`` (normal, one cell missing) and ``robust`` (every cell present).
+Each runs 4 chains of 1,000 burn-in and ``--kept`` kept sweeps on 2 workers,
+and scores the means of beta, alpha_1 (the first algorithm's effect), sigma0,
+sigma_a, sigma_d (and df) and the second moments (beta - 0.5)^2 and alpha_1^2
+against their prior values as z = (mean - prior mean) / MCSE, the MCSE from
+the bulk ESS of perfbench's reference ``convergence``.
+``tests/test_geweke.py`` asks |z| <= 4.5 of every statistic at 4 x 20,000 kept
+sweeps.
 
 It also runs each mutant of ``MUTANTS`` on the paths it touches and prints its
 z: a copy of ``banova``'s source with one statement changed, loaded as a
@@ -69,12 +70,7 @@ MUTANTS = {
 
 
 def geweke_spec(variant: str) -> banova.ModelSpec:
-    shape, rate = banova.gamma_shape_rate_from_mode_sd(0.05, 0.2)
-    return banova.ModelSpec(
-        variant=variant, y_mean=0.5, y_sd=0.1, sigma0_low=0.001, sigma0_high=1.0, beta_mean=0.5,
-        beta_sd=0.5, sigma_effect_shape=shape, sigma_effect_rate=rate,
-        df_rate=banova.DF_PRIOR_RATE if variant == "robust" else None,
-    )
+    return banova.ModelSpec(variant, y_mean=0.5, y_sd=0.1)
 
 
 def prior_moments(spec: banova.ModelSpec) -> dict:

@@ -62,26 +62,38 @@ def gamma_shape_rate_from_mode_sd(mode: float, sd: float) -> tuple:
 
 @dataclass
 class ModelSpec:
-    """Fully instantiated priors for one data matrix."""
+    """A model variant and the priors it derives from the data's mean
+    ``y_mean`` and sd ``y_sd`` (after BEST, Kruschke 2013).
+
+    sigma0 ~ U[``sigma0_low``, ``sigma0_high``] = U[sd/100, 10 sd]; beta ~
+    N(``beta_mean``, ``beta_sd``^2) = N(mean, (5 sd)^2); sigma_a and sigma_d ~
+    Gamma(``sigma_effect_shape``, ``sigma_effect_rate``) of mode sd/2 and sd
+    2 sd; robust df ~ Exp(``df_rate`` = 1/30), None on the normal variant.
+    """
 
     variant: str  # "normal" or "robust"
     y_mean: float
     y_sd: float
-    sigma0_low: float
-    sigma0_high: float
-    beta_mean: float
-    beta_sd: float
-    sigma_effect_shape: float  # shared by the sigma_a and sigma_d priors
-    sigma_effect_rate: float
-    df_rate: Optional[float] = None  # robust only
+    sigma0_low: float = field(init=False)
+    sigma0_high: float = field(init=False)
+    beta_mean: float = field(init=False)
+    beta_sd: float = field(init=False)
+    sigma_effect_shape: float = field(init=False)
+    sigma_effect_rate: float = field(init=False)
+    df_rate: Optional[float] = field(init=False)
 
     def __post_init__(self):
         if self.variant not in ("normal", "robust"):
             raise InputError(f"unknown model variant: {self.variant!r}")
+        self.sigma0_low, self.sigma0_high = self.y_sd / 100.0, self.y_sd * 10.0
+        self.beta_mean, self.beta_sd = self.y_mean, self.y_sd * 5.0
+        self.sigma_effect_shape, self.sigma_effect_rate = gamma_shape_rate_from_mode_sd(self.y_sd / 2.0,
+                                                                                        self.y_sd * 2.0)
+        self.df_rate = DF_PRIOR_RATE if self.variant == "robust" else None
 
 
 def build_model(m: AggregatedMatrix, variant: str = "normal") -> ModelSpec:
-    """Derive priors from the present cells of the matrix.
+    """The :class:`ModelSpec` of the present cells' mean and sd.
 
     The data sd uses the N-1 denominator.  Degenerate (zero-variance) data
     is rejected because every prior scale derives from it.
@@ -97,19 +109,7 @@ def build_model(m: AggregatedMatrix, variant: str = "normal") -> ModelSpec:
     # for literally equal cells rather than trusting sd == 0
     if y_sd == 0.0 or float(y.max()) == float(y.min()):
         raise InputError("zero variance: all present cells are equal")
-    shape, rate = gamma_shape_rate_from_mode_sd(y_sd / 2.0, y_sd * 2.0)
-    return ModelSpec(
-        variant=variant,
-        y_mean=y_mean,
-        y_sd=y_sd,
-        sigma0_low=y_sd / 100.0,
-        sigma0_high=y_sd * 10.0,
-        beta_mean=y_mean,
-        beta_sd=y_sd * 5.0,
-        sigma_effect_shape=shape,
-        sigma_effect_rate=rate,
-        df_rate=DF_PRIOR_RATE if variant == "robust" else None,
-    )
+    return ModelSpec(variant, y_mean, y_sd)
 
 
 _PINS = ("fixed_sigma0", "fixed_sigma_a", "fixed_sigma_d", "fixed_df")  # McmcConfig's fixed scales
@@ -484,8 +484,8 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     counters: proposals per draw of sigma_a, sigma_d and df.  ``after_sweep``,
     when given, is called after every sweep as ``after_sweep(rng, y, lam,
     beta, alpha, delta, sigma0)`` on the chain's own copy of ``y``, which it
-    may redraw in place (a joint-distribution test does); the chain then
-    recomputes what it derives from ``y``.
+    may redraw in place (a joint-distribution test does); the next sweep
+    then recomputes what it derives from ``y``.
     """
     rng = np.random.default_rng(seed)
     normal, gamma = rng.standard_normal, rng.standard_gamma
@@ -547,11 +547,14 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
         aug_d[2:] = lam.T
         return float(np.add.reduce(col_l)), float(np.add.reduce(aug_a[0]))
 
-    if balanced:
-        y_bar, col_c, row_c, within = _cell_moments(y)
-    else:
-        sum_l, sum_ly = lam_sums()
+    stale = True  # what a sweep reads from y, computed at the first sweep and after each after_sweep
     for it in range(total):
+        if stale:
+            if balanced:
+                y_bar, col_c, row_c, within = _cell_moments(y)
+            else:
+                sum_l, sum_ly = lam_sums()
+            stale = after_sweep is not None
         inv_s0sq = 1.0 / (sigma0 * sigma0)
         normal(out=z)
 
@@ -640,10 +643,6 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         if after_sweep is not None:
             after_sweep(rng, y, lam, beta, alpha, delta, sigma0)
-            if balanced:
-                y_bar, col_c, row_c, within = _cell_moments(y)
-            else:
-                sum_l, sum_ly = lam_sums()
 
         if it >= start and (it - start + 1) % cfg.thinning == 0:
             keep_beta[k] = beta
@@ -674,7 +673,7 @@ def _worker_job(c: int) -> dict:
 def run_chains(
     spec: ModelSpec,
     data: AggregatedMatrix,
-    cfg: McmcConfig = None,
+    cfg: McmcConfig,
     seed: int = 0,
     after_sweep=None,
 ) -> PosteriorDraws:
@@ -685,14 +684,13 @@ def run_chains(
     chains run sequentially or in parallel, nor on how many chains run.
     ``min(cfg.n_jobs, cfg.chains)`` forked workers write their chains into one
     shared block; where ``fork`` is unavailable the chains run one after
-    another.  ``meta["slice"]`` holds, per chain, the proposals per draw of
-    every sampled sigma_a, sigma_d and df, ``meta["versions"]`` the
-    benchstat, numpy and Python versions that drew them, and
-    ``meta["data_sha256"]`` the digest of ``data``.  ``after_sweep`` goes to
-    every chain's :func:`_run_chain`; forked workers inherit it.
+    another.  ``meta`` holds every setting of ``cfg`` but ``n_jobs`` (pins only
+    when set), the ``iterations`` and ``seed``, ``data_sha256`` (the digest of
+    ``data``), ``slice`` (per chain, the proposals per draw of every sampled
+    sigma_a, sigma_d and df) and ``versions`` (of benchstat, numpy and Python).
+    ``after_sweep`` goes to every chain's :func:`_run_chain`; forked workers
+    inherit it.
     """
-    if cfg is None:
-        cfg = McmcConfig()
     cfg.validate()
     if cfg.fixed_sigma0 is not None and not spec.sigma0_low <= cfg.fixed_sigma0 <= spec.sigma0_high:
         raise InputError(
@@ -752,27 +750,17 @@ def run_chains(
         for alpha, delta in zip(draws.alpha, draws.delta):
             alpha[:] = alpha[inv_a]
             delta[:] = delta[inv_d]
-    draws.meta = {
-        "iterations": cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
-        "burn_in": cfg.burn_in,
-        "adaptation": cfg.adaptation,
-        "thinning": cfg.thinning,
-        "kept": cfg.kept,
-        "chains": cfg.chains,
-        "seed": seed,
-        "data_sha256": _digest(data),
-        "slice": counters,
+    # every setting that shapes the draws, the pins only when set; n_jobs does not
+    draws.meta = {name: value for name, value in vars(cfg).items() if name != "n_jobs" and value is not None}
+    draws.meta.update(
+        iterations=cfg.burn_in + cfg.adaptation + cfg.kept * cfg.thinning,
+        seed=seed,
+        data_sha256=_digest(data),
+        slice=counters,
         # numpy may change Generator streams between releases, so a seed
         # reproduces these draws only under the same versions
-        "versions": {
-            "benchstat": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-    }
-    for pin in _PINS:
-        if getattr(cfg, pin) is not None:
-            draws.meta[pin] = getattr(cfg, pin)
+        versions={"benchstat": __version__, "numpy": np.__version__, "python": platform.python_version()},
+    )
     return draws
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -128,6 +129,19 @@ class TestBuildModel:
         with pytest.raises(InputError, match="at least 2"):
             build_model(make_matrix([[0.1], [0.2]]))
 
+    def test_spec_derives_its_priors_from_mean_and_sd(self):
+        spec = banova.ModelSpec("robust", 0.5, 0.1)
+        assert (spec.sigma0_low, spec.sigma0_high) == (0.001, 1.0)
+        assert (spec.beta_mean, spec.beta_sd) == (0.5, 0.5)
+        assert (spec.sigma_effect_shape, spec.sigma_effect_rate) == gamma_shape_rate_from_mode_sd(0.05, 0.2)
+        assert spec.df_rate == 1 / 30
+        assert banova.ModelSpec("normal", 0.5, 0.1).df_rate is None
+        assert dataclasses.replace(spec, variant="normal") == banova.ModelSpec("normal", 0.5, 0.1)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InputError, match="^unknown model variant: 'other'$"):
+            banova.ModelSpec("other", 0.5, 0.1)
+
 
 class TestRunChains:
     def test_config_validation(self):
@@ -167,6 +181,11 @@ class TestRunChains:
         cfg = McmcConfig(chains=2, burn_in=5, adaptation=5, kept=10, **{pin: value})
         with pytest.raises(InputError, match=f"^{pin} must be > 0"):
             run_chains(build_model(m, "robust"), m, cfg, seed=0)
+
+    def test_matrix_without_present_cells_rejected(self):
+        m = make_matrix(np.full((3, 2), np.nan))
+        with pytest.raises(InputError, match="^no present cells$"):
+            run_chains(banova.ModelSpec("normal", 0.5, 0.1), m, McmcConfig(chains=2, kept=10), seed=0)
 
     def test_paper_config_values(self):
         cfg = McmcConfig.paper()
@@ -309,7 +328,9 @@ class TestRunChains:
         spec = build_model(m, "robust")
         cfg = McmcConfig(chains=2, burn_in=20, adaptation=20, kept=50)
         base = run_chains(spec, m, cfg, seed=2)
-        other = run_chains(dataclasses.replace(spec, df_rate=1.0), m, cfg, seed=2)
+        faster = copy.copy(spec)  # df_rate derives from the variant, so set it on a copy
+        faster.df_rate = 1.0
+        other = run_chains(faster, m, cfg, seed=2)
         assert not np.array_equal(base.chains[0].df, other.chains[0].df)
 
     def test_exactly_additive_cells_put_sigma0_at_its_lower_bound(self):
@@ -1177,6 +1198,17 @@ class TestPersistence:
         assert {key: meta[key] for key in pins} == pins
         unpinned = run_chains(spec, m, McmcConfig(chains=2, burn_in=5, adaptation=5, kept=5), seed=2)
         assert not [key for key in unpinned.meta if key.startswith("fixed_")]
+
+    @pytest.mark.parametrize("pins", [{}, {"fixed_sigma_a": 0.03, "fixed_df": 5.0}], ids=["unpinned", "pinned"])
+    def test_meta_records_every_setting_but_n_jobs(self, pins):
+        rng = np.random.default_rng(6)
+        m, _ = synthetic_matrix(rng, 3, 6)
+        cfg = McmcConfig(chains=2, burn_in=5, adaptation=4, kept=5, thinning=2, n_jobs=2, **pins)
+        meta = run_chains(build_model(m, "robust"), m, cfg, seed=2).meta
+        settings = {"chains": 2, "burn_in": 5, "adaptation": 4, "kept": 5, "thinning": 2, **pins}
+        assert set(meta) == {*settings, "iterations", "seed", "data_sha256", "slice", "versions"}
+        assert {key: meta[key] for key in settings} == settings
+        assert (meta["iterations"], meta["seed"]) == (5 + 4 + 5 * 2, 2)
 
     def test_check_source_compares_the_digest_where_the_draws_have_one(self, tmp_path):
         draws = self._sample("normal")

@@ -360,8 +360,9 @@ class TestBayesCommand:
         [
             ("chains=2\x0ckept=x\n", "config line 1: chains must be an integer"),
             ("# mcmc\nchains=2\nkept=20\nchains=3\n", "config line 4: duplicate key 'chains' (first seen at config line 2)"),
+            ("chains=2\nkept 20\n", "config line 2: expected key=value"),
         ],
-        ids=["form feed", "duplicate key"],
+        ids=["form feed", "duplicate key", "no equals sign"],
     )
     def test_bad_config_line_exit_2(self, synth_csv, tmp_path, text, message, capsys):
         cfg = tmp_path / "mcmc.cfg"
@@ -377,6 +378,83 @@ class TestBayesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
+
+
+class TestInputChecks:
+    """Checks of bad input that each exit 2 with their message."""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--burn-in", "-1", "burn_in and adaptation must be >= 0"),
+        ("--thinning", "0", "thinning must be >= 1"),
+    ], ids=["burn-in -1", "thinning 0"])
+    def test_bayes_setting_out_of_range_exit_2(self, option, value, message, capsys):
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--seed", "0", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("header, message", [
+        (lambda fields: json.dumps(fields)[:-1], "malformed header (JSONDecodeError("),
+        (lambda fields: json.dumps({k: v for k, v in fields.items() if k != "variant"}),
+         "malformed header (KeyError('variant'))\n"),
+        (lambda fields: json.dumps(fields | {"variant": "other"}),
+         "header has variant 'other', 2 chains and 200 draws per chain; expected normal or robust and at least 1 each\n"),
+        (lambda fields: json.dumps(fields | {"n_chains": 0}),
+         "header has variant 'normal', 0 chains and 200 draws per chain; expected normal or robust and at least 1 each\n"),
+    ], ids=["malformed json", "no variant", "other variant", "no chains"])
+    def test_bad_v2_header_exit_2(self, header, message, tmp_path, capsys):
+        path = tmp_path / "edited.draws"
+        banova.save_draws(load_draws(GOLDEN / "legacy-v1.draws"), path)
+        first, body = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(first.split(b" ", 2)[2])
+        path.write_bytes(b"#benchstat-draws v2 " + header(fields).encode() + b"\n" + body)
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: draws file {path}: {message}")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [row.rsplit(",", 1)[0] for row in rows], " has 21 columns, want 22"),
+        (lambda rows: rows[:199] + ["1" + rows[199][1:]] + rows[200:], ": chain 0 has 199 draws, want 200"),
+    ], ids=["a column short", "a chain short"])
+    def test_bad_v1_rows_exit_2(self, edit, message, tmp_path, capsys):
+        header, columns, *rows = (GOLDEN / "legacy-v1.draws").read_text().splitlines()
+        assert rows[199].startswith("0,") and rows[200].startswith("1,")
+        path = tmp_path / "edited.draws"
+        path.write_text("\n".join([header, columns, *edit(rows)]) + "\n")
+        assert main(["bayes", str(GOLDEN / "errors.csv"), "--load", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: draws file {path}{message}\n"
+
+    def test_bayes_with_one_complete_cell_exit_2(self, tmp_path, capsys):
+        # 2 algorithms x 2 datasets, but only (d1, a) has both subsets
+        path = tmp_path / "sparse.csv"
+        path.write_text(HEADER + "d1,a,1,0.1,\nd1,a,2,0.2,\nd1,b,1,0.3,\nd2,b,1,0.4,\n")
+        assert main(["bayes", str(path), "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "error: need at least 2 present cells\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"beta": 0.2,', "malformed synth spec JSON: "),
+        ({"alpha": {"a": 0.0}, "delta": {"d": 0.0}}, "invalid synth spec: 'beta'\n"),
+        ({"beta": 0.2, "alpha": {"a": 0.0}, "delta": {"d": 0.0}, "cv_noise_sd": -0.1},
+         "cv_noise_sd must be >= 0, got -0.1\n"),
+        ({"beta": 0.2, "alpha": {}, "delta": {"d": 0.0}}, "alpha and delta must be nonempty\n"),
+    ], ids=["malformed json", "no beta", "negative cv_noise_sd", "empty alpha"])
+    def test_bad_synth_spec_exit_2(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        assert main(["synth", str(path), "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_rank_leaves_out_an_algorithm_ranked_on_no_dataset(self, tmp_path, capsys):
+        # "lone" is measured only on d3, where no other algorithm is, so d3 is skipped
+        rows = [f"{d},{a},{s},{e}," for d in ("d1", "d2") for a, e in (("a", 0.1), ("b", 0.2)) for s in (1, 2)]
+        path = tmp_path / "errors.csv"
+        path.write_text(HEADER + "\n".join(rows + ["d3,lone,1,0.3,", "d3,lone,2,0.3,"]) + "\n")
+        with pytest.warns(UserWarning, match="^skipping 1 datasets with <2 present algorithms: d3$"):
+            assert main(["rank", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["algorithm,mean_rank,top_count", "a,1,2", "b,2,0"]
 
 
 class TestPpcCommand:

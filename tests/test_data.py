@@ -25,7 +25,7 @@ from benchstat import (
 )
 import benchstat.data
 from benchstat.cli import main
-from benchstat.data import ErrorTable, TimingTable, error_table_to_csv
+from benchstat.data import AggregatedMatrix, ErrorTable, TimingTable, error_table_to_csv
 
 HEADER = "dataset,algorithm,subset,test_error,cv_error\n"
 TIMING_HEADER = (
@@ -633,3 +633,20 @@ class TestGenerateSynthetic:
         again = ingest_error_table(text)
         assert again.records == table.records  # equal records, in input order
         assert [repr(r) for r in again] == [repr(r) for r in table]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: matrix_from_timings(ingest_timing_table(TIMING_HEADER + "iris,rf,1,10,120,24\n"), "bogus"),
+     InputError, "unknown timing metric: 'bogus'"),
+    (lambda: TimingRecord("iris", "rf", 1, 1.0, 1.0, 2**63), InputError,
+     f"n_hyper_combos must be <= {2**63 - 1}, got {2**63}"),
+    (lambda: ErrorRecord("iris", "rf", 3, 0.1), InputError, "unknown subset value: 3"),
+    (lambda: TimingRecord("iris", "rf", 0, 1.0, 1.0, 1), InputError, "unknown subset value: 0"),
+    (lambda: AggregatedMatrix(["a", "b"], ["d"], np.zeros((2, 1)), np.ones((2, 1), bool)),
+     ValueError, "values shape does not match labels"),
+    (lambda: AggregatedMatrix(["a", "b"], ["d"], np.zeros((1, 2)), np.ones((2, 1), bool)),
+     ValueError, "mask shape does not match values"),
+], ids=["timing metric", "combos past int64", "error subset", "timing subset", "values shape", "mask shape"])
+def test_library_input_checks(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()

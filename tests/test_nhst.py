@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import norm
 
 from benchstat import (
     InputError,
+    PairwiseMatrix,
     chi_square_sf,
     friedman_test,
     nemenyi_pairwise,
@@ -201,3 +203,13 @@ class TestNemenyi:
         off_diag = pw.values[~np.eye(5, dtype=bool)]
         assert ((off_diag >= 0) & (off_diag <= 1)).all()
         assert np.isnan(np.diag(pw.values)).all()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PairwiseMatrix(("a", "b"), np.full((2, 2), np.nan), "t_p"), ValueError, "unknown kind: 't_p'"),
+    (lambda: chi_square_sf(1.0, 0), InputError, "chi_square_sf requires k >= 1, got 0"),
+    (lambda: friedman_test(rank_matrix([[1.0], [1.0], [1.0]])), InputError, "need at least 2 treatments, got 1"),
+], ids=["pairwise kind", "chi-square dof", "one treatment"])
+def test_library_input_checks(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()

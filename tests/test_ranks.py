@@ -240,3 +240,8 @@ def test_render_loads_neither_nhst_nor_threshold():
     loaded = run.stdout.split()
     assert "benchstat.render" in loaded
     assert "benchstat.nhst" not in loaded and "benchstat.threshold" not in loaded
+
+
+def test_unknown_scheme_rejected():
+    with pytest.raises(ValueError, match="^unknown scheme: 'min'$"):
+        RankMatrix("min", ("a",), ("d",), np.ones((1, 1)))

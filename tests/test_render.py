@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from benchstat.errors import InputError
 from benchstat.nhst import FriedmanResult
 from benchstat.render import fmt, render_friedman, render_threshold, serialise
 from benchstat.threshold import ThresholdReport
@@ -44,3 +45,8 @@ def test_one_row_report_columns_are_the_record_fields(render, record):
     assert render(record, "csv").splitlines()[0] == ",".join(names)
     assert render(record, "markdown").splitlines()[0] == "| " + " | ".join(names) + " |"
     assert list(json.loads(render(record, "json"))) == names
+
+
+def test_serialise_rejects_an_unknown_format():
+    with pytest.raises(InputError, match=r"^unknown format 'xml', want one of \('csv', 'markdown', 'json'\)$"):
+        serialise("xml", ["a"], [[1.0]])

@@ -34,6 +34,10 @@ class TestTopK:
         top = top_k_algorithms(matrix_from_row([0.3, 0.1, 0.2]), 1)
         assert top.tolist() == [[False, True, False]]
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            top_k_algorithms(matrix_from_row([0.1, 0.2]), 0)
+
     def test_fewer_algorithms_than_k(self):
         top = top_k_algorithms(matrix_from_row([0.1, 0.2]), 3)
         assert top.tolist() == [[True, True]]
