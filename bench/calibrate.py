@@ -60,7 +60,7 @@ MUTANTS = {
     ),
     "balanced centred noise without - mean(z)": (
         ("balanced",),
-        "np.subtract(z, float(np.add.reduce(z)) / len(z), out=effects)", "effects[:] = z", 1,
+        "z_bar = z_sum / size", "z_bar = 0.0", 1,
     ),
     "translation move without its beta-prior term": (
         ("general",),

@@ -16,7 +16,9 @@ degrees of freedom (rejection from tangent envelopes).  The location draws
 take one of two sweeps.  On a complete table under the normal variant (a
 balanced design) the grand mean and every effect are drawn jointly and
 exactly given the scales, in O(A + D) per sweep, from the table's column
-and row means, its grand mean and its within-cell sum of squares.  With
+and row means, its grand mean and its within-cell sum of squares; a sweep
+reads only a few sums of its normals, and the effects of the kept sweeps
+are written from those normals about 1 MB at a time.  With
 missing cells or the robust variant, each block of effects (vectorized over
 algorithms and over datasets) is drawn given the rest, and two exact
 translation moves trade mass between the grand mean and each block to break
@@ -429,22 +431,22 @@ def _cell_moments(y) -> tuple:
     return y_bar, col, row, float(np.vdot(within, within))
 
 
-def _centred_effects(effects, dev, means, z, prec_data: float, prec_prior: float) -> float:
-    """One exact draw of a balanced block's centred effects, in place.
+def _centred_block(prec_data: float, prec_prior: float, mm: float, mz: float, zz: float, z_sum: float,
+                   size: int) -> tuple:
+    """A balanced block's centred effects, drawn from its normals z, as scalars.
 
     Given the scales, effects less their mean are normal on the centred
     subspace with precision prec = prec_data + prec_prior per effect and mean
-    k * means (``means`` centred, k = prec_data/prec): the draw is k * means +
-    (z - mean(z))/sqrt(prec).  ``dev`` receives means - effects, and the
-    return value is its squared norm.
+    k m (m the block's centred means, k = prec_data/prec): the draw is k m +
+    c (z - mean(z)), c = 1/sqrt(prec), from ``size`` normals z.  From |m|^2
+    (``mm``), m.z (``mz``), z.z (``zz``) and sum(z) (``z_sum``) alone, as
+    m.mean(z) = 0, it returns k, c, c mean(z), |m - effects|^2 and |effects|^2.
     """
     prec = prec_data + prec_prior
-    np.multiply(means, prec_prior / prec, out=dev)  # (1 - k) * means
-    np.subtract(z, float(np.add.reduce(z)) / len(z), out=effects)
-    effects *= 1.0 / math.sqrt(prec)
-    dev -= effects
-    np.subtract(means, dev, out=effects)
-    return float(dev.dot(dev))
+    k, j, c = prec_data / prec, prec_prior / prec, 1.0 / math.sqrt(prec)
+    z_bar = z_sum / size
+    noise = c * c * (zz - z_sum * z_bar)  # |c (z - mean(z))|^2
+    return k, c, c * z_bar, j * j * mm - 2.0 * j * c * mz + noise, k * k * mm + 2.0 * k * c * mz + noise
 
 
 def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDraws, after_sweep=None) -> dict:
@@ -454,15 +456,25 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     Given sigma0, sigma_a and sigma_d, the centred effects alpha - mean(alpha)
     and delta - mean(delta) and the triple (beta, mean(alpha), mean(delta))
     are three independent blocks (Roberts & Sahu 1997).  Each block of
-    centred effects is drawn by :func:`_centred_effects` from the column (or
-    row) means less the grand mean y_bar, with prec_data = D/sigma0^2 (or
-    A/sigma0^2).  The triple is three normal priors (precisions beta_prec0,
-    A/sigma_a^2 and D/sigma_d^2) tied by y_bar, an observation of their sum s
-    with precision n/sigma0^2: s is drawn from its posterior, then mean(delta)
-    and mean(alpha) given s, in precisions, so that a zero prior precision (a
-    pinned infinite scale) stays finite.  The sum of squares of sigma0 is the
-    within-cell part, computed once, plus D |col - centred alpha|^2 + A |row -
-    centred delta|^2 + n (y_bar - s)^2.  A sweep is O(A + D).
+    centred effects is k m + c (z - mean(z)), with m the column (or row) means
+    less the grand mean y_bar, prec_data = D/sigma0^2 (or A/sigma0^2) and k,
+    c from :func:`_centred_block`.  The triple is three normal priors
+    (precisions beta_prec0, A/sigma_a^2 and D/sigma_d^2) tied by y_bar, an
+    observation of their sum s with precision n/sigma0^2: s is drawn from its
+    posterior, then mean(delta) and mean(alpha) given s, in precisions, so
+    that a zero prior precision (a pinned infinite scale) stays finite.  The
+    sum of squares of sigma0 is the within-cell part plus D |col - centred
+    alpha|^2 + A |row - centred delta|^2 + n (y_bar - s)^2.  No effect vector
+    is formed in a sweep: one product of the sweep's normals and their
+    squares with a fixed matrix gives sum(z), m.z and z.z of each block, and
+    every sum of squares follows in closed form from them and |m|^2.  The
+    normals of each kept sweep stay in a chunk of about ``_SLICE_DRAWS``
+    floats, its scalars (k, c, the offset mean(effects) - c mean(z) of each
+    block, beta and the scales) in a list, and the effects are written in
+    whole-array ops when the chunk fills and at the end of the chain.  Given
+    ``after_sweep``, which reads them, every sweep's effects are written
+    before it is called, and kept as the general sweep keeps its own.  A
+    sweep is O(A + D) and makes three numpy calls.
 
     General sweep (missing cells or the robust variant).  ``y`` is 0 and the
     latent precisions ``lam`` are 0 on missing cells, so those cells drop out
@@ -528,10 +540,10 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
     keep_beta, keep_alpha, keep_delta = kept.beta, kept.alpha, kept.delta
     keep_sigma0, keep_sigma_a, keep_sigma_d, keep_df = kept.sigma0, kept.sigma_a, kept.sigma_d, kept.df
 
-    # buffers: one normal per location draw and translation move (on the
-    # balanced sweep, per draw of s, mean(delta) and mean(alpha)), each
-    # block's -rhs and den, and the balanced sweep's deviations
-    z = np.empty(1 + n_alg + n_ds + 2)
+    # the general sweep's buffers: one normal per location draw and
+    # translation move, each block's -rhs and den
+    width = 1 + n_alg + n_ds + 2
+    z = np.empty(width)
     z_effects, z_a, z_d = z[1:-2], z[1 : 1 + n_alg], z[1 + n_alg : -2]
     rhs_a, den_a, rhs_d, den_d = np.empty(n_alg), np.empty(n_alg), np.empty(n_ds), np.empty(n_ds)
     ones_a, ones_d = np.ones(n_alg), np.ones(n_ds)
@@ -547,35 +559,81 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
         aug_d[2:] = lam.T
         return float(np.add.reduce(col_l)), float(np.add.reduce(aug_a[0]))
 
+    if balanced:
+        # a sweep's normals (one per draw of s, the centred effects, mean(delta)
+        # and mean(alpha)) and their squares fill the next row of a chunk of
+        # about _SLICE_DRAWS floats, which moves on only past a kept sweep; the
+        # row times ``weights`` is z[0], sum(z_a), col.z_a, sum(z_d), row.z_d,
+        # z[-2], z[-1], z_a.z_a and z_d.z_d, all the sweep reads of its normals
+        chunk = np.empty((max(1, min(_SLICE_DRAWS // (2 * width), cfg.kept)), 2, width))
+        rows, normals, squares = list(chunk.reshape(len(chunk), -1)), list(chunk[:, 0]), list(chunk[:, 1])
+        pending = []  # the scalars of each kept sweep in the chunk, until its effects are written
+        blocks = (slice(1, 1 + n_alg), slice(1 + n_alg, width - 2))
+        weights = np.zeros((2, width, 9))
+        weights[0, 0, 0] = weights[0, -2, 5] = weights[0, -1, 6] = 1.0
+        weights[0, blocks[0], 1] = weights[0, blocks[1], 3] = 1.0
+        weights[1, blocks[0], 7] = weights[1, blocks[1], 8] = 1.0
+        weights = weights.reshape(2 * width, 9)
+        lifts = (weights[blocks[0], 1:3].T, weights[blocks[1], 3:5].T)  # the rows 1 and m of each block
+        stats = np.empty(9)
+
+    def write_effects(values, z, alpha_out, delta_out):
+        """Both effect blocks offset + k m + c z of the sweeps of ``values``,
+        one row each, from their chunk rows ``z`` (normals, then scratch)."""
+        for out, lift, first, block in zip((alpha_out, delta_out), lifts, (4, 7), blocks):
+            np.multiply(z[:, 0, block], values[:, first + 2 : first + 3], out=z[:, 1, block])
+            np.matmul(values[:, first : first + 2], lift, out=out)  # offset + k m
+            out += z[:, 1, block]
+
+    def flush():
+        """Write the kept sweeps of the chunk into ``kept``."""
+        nonlocal k
+        n_rows = len(pending)
+        values = np.array(pending)
+        pending.clear()
+        for out, column in zip((keep_beta, keep_sigma0, keep_sigma_a, keep_sigma_d), values.T):
+            out[k : k + n_rows] = column
+        write_effects(values, chunk[:n_rows], keep_alpha[k : k + n_rows], keep_delta[k : k + n_rows])
+        k += n_rows
+
     stale = True  # what a sweep reads from y, computed at the first sweep and after each after_sweep
     for it in range(total):
         if stale:
             if balanced:
                 y_bar, col_c, row_c, within = _cell_moments(y)
+                weights[blocks[0], 2], weights[blocks[1], 4] = col_c, row_c
+                mm_a, mm_d = float(col_c.dot(col_c)), float(row_c.dot(row_c))
             else:
                 sum_l, sum_ly = lam_sums()
             stale = after_sweep is not None
         inv_s0sq = 1.0 / (sigma0 * sigma0)
-        normal(out=z)
 
         if balanced:
-            # centred effects, then (beta, mean(alpha), mean(delta)) through
-            # their sum s and two draws given it, with p_a, p_d the prior
-            # precisions of the effect means and e2 = p_a p_d + beta_prec0 (p_a + p_d)
-            ss = (within + n_ds * _centred_effects(alpha, rhs_a, col_c, z_a, n_ds * inv_s0sq, sigma_a**-2)
-                  + n_alg * _centred_effects(delta, rhs_d, row_c, z_d, n_alg * inv_s0sq, sigma_d**-2))
+            # centred effects from the sums of this sweep's normals, then (beta,
+            # mean(alpha), mean(delta)) through their sum s and two draws given
+            # it, with p_a, p_d the prior precisions of the effect means and
+            # e2 = p_a p_d + beta_prec0 (p_a + p_d)
+            row = len(pending)
+            normal(out=normals[row])
+            np.multiply(normals[row], normals[row], out=squares[row])
+            rows[row].dot(weights, out=stats)
+            z_s, sum_a, mz_a, sum_d, mz_d, z_d_bar, z_a_bar, zz_a, zz_d = stats.tolist()
+            k_a, c_a, cz_a, dev_a, cen_a = _centred_block(n_ds * inv_s0sq, sigma_a**-2, mm_a, mz_a, zz_a, sum_a,
+                                                          n_alg)
+            k_d, c_d, cz_d, dev_d, cen_d = _centred_block(n_alg * inv_s0sq, sigma_d**-2, mm_d, mz_d, zz_d, sum_d,
+                                                          n_ds)
             p_a, p_d, p_y = n_alg / sigma_a**2, n_ds / sigma_d**2, n * inv_s0sq
             e2 = p_a * p_d + beta_prec0 * (p_a + p_d)
             prec = beta_prec0 * p_a * p_d / e2 + p_y
-            s = beta_mean + (p_y * (y_bar - beta_mean) + z.item(0) * math.sqrt(prec)) / prec
-            d_bar = (p_a * beta_prec0 * (s - beta_mean) + z.item(-2) * math.sqrt(e2 * (p_a + beta_prec0))) / e2
-            a_bar = (beta_prec0 * (s - beta_mean - d_bar) + z.item(-1) * math.sqrt(p_a + beta_prec0)) / (
+            s = beta_mean + (p_y * (y_bar - beta_mean) + z_s * math.sqrt(prec)) / prec
+            d_bar = (p_a * beta_prec0 * (s - beta_mean) + z_d_bar * math.sqrt(e2 * (p_a + beta_prec0))) / e2
+            a_bar = (beta_prec0 * (s - beta_mean - d_bar) + z_a_bar * math.sqrt(p_a + beta_prec0)) / (
                 p_a + beta_prec0)
             beta = s - a_bar - d_bar
-            alpha += a_bar
-            delta += d_bar
-            ss += n * (y_bar - s) ** 2
+            ss = within + n_ds * dev_a + n_alg * dev_d + n * (y_bar - s) ** 2
+            ss_a, ss_d = cen_a + n_alg * a_bar**2, cen_d + n_ds * d_bar**2  # centred part + size mean^2
         else:
+            normal(out=z)
             # beta | rest
             prec = sum_l * inv_s0sq + beta_prec0
             swr = sum_ly - float(col_l.dot(alpha)) - float(row_l.dot(delta))
@@ -615,6 +673,7 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
             r2 -= delta_col
             r2 *= r2
             ss = float(np.vdot(lam, r2))
+            ss_a, ss_d = float(alpha.dot(alpha)), float(delta.dot(delta))
 
         # sigma0 | rest: uniform prior, exact truncated-Gamma draw of 1/sigma0^2
         if cfg.fixed_sigma0 is None:
@@ -622,10 +681,10 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
 
         # sigma_a, sigma_d | rest: Gamma(mode/sd) prior on the scale itself
         if cfg.fixed_sigma_a is None:
-            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, float(alpha.dot(alpha)))
+            sigma_a, m = _effect_scale(rng, eff_shape, eff_rate, n_alg, ss_a)
             proposals["sigma_a"] = proposals.get("sigma_a", 0) + m
         if cfg.fixed_sigma_d is None:
-            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, float(delta.dot(delta)))
+            sigma_d, m = _effect_scale(rng, eff_shape, eff_rate, n_ds, ss_d)
             proposals["sigma_d"] = proposals.get("sigma_d", 0) + m
 
         if robust:
@@ -641,22 +700,35 @@ def _run_chain(spec: ModelSpec, y, present, cfg: McmcConfig, seed, kept: ChainDr
                 df, m = _degrees_of_freedom(rng, n, c)
                 proposals["df"] = proposals.get("df", 0) + m
 
+        if balanced:  # what the kept draws and the hook read of this sweep
+            state = (beta, sigma0, sigma_a, sigma_d, a_bar - cz_a, k_a, c_a, d_bar - cz_d, k_d, c_d)
+            if after_sweep is not None:  # the hook reads the effects and redraws the y they come from
+                write_effects(np.array([state]), chunk[row : row + 1], alpha[None], delta[None])
+        if it >= start and (it - start + 1) % cfg.thinning == 0:
+            if balanced and after_sweep is None:
+                pending.append(state)
+                if len(pending) == len(rows):
+                    flush()
+            else:
+                keep_beta[k] = beta
+                keep_alpha[k] = alpha
+                keep_delta[k] = delta
+                keep_sigma0[k] = sigma0
+                keep_sigma_a[k] = sigma_a
+                keep_sigma_d[k] = sigma_d
+                if robust:
+                    keep_df[k] = df
+                k += 1
+
         if after_sweep is not None:
             after_sweep(rng, y, lam, beta, alpha, delta, sigma0)
 
-        if it >= start and (it - start + 1) % cfg.thinning == 0:
-            keep_beta[k] = beta
-            keep_alpha[k] = alpha
-            keep_delta[k] = delta
-            keep_sigma0[k] = sigma0
-            keep_sigma_a[k] = sigma_a
-            keep_sigma_d[k] = sigma_d
-            if robust:
-                keep_df[k] = df
-            k += 1
-
+    if balanced and pending:
+        flush()
     for name, values in vars(kept).items():
-        if values is not None and not np.isfinite(values).all():
+        # a draw is NaN or infinite exactly when the least or the greatest is, and
+        # neither reduction copies the draws
+        if values is not None and not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise ComputationError(f"non-finite draws of {name} encountered")
     return {name: {"proposals_per_draw": m / total} for name, m in proposals.items()}
 
@@ -817,7 +889,8 @@ def _draws_block(shape: tuple) -> np.ndarray:
 
 
 # save_draws and _read_v2_block walk a block in slices of about 1 MB of draws: a
-# (columns, draws) view of it and one reused C-order (draws, columns) buffer
+# (columns, draws) view of it and one reused C-order (draws, columns) buffer;
+# _run_chain's balanced sweep keeps the normals of that many floats of kept sweeps
 _SLICE_DRAWS = 1 << 17
 
 

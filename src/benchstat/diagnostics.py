@@ -212,16 +212,16 @@ def posterior_predictive_check(
     rng = np.random.default_rng(seed)
     di, ai = np.nonzero(data.mask)
     y = data.values[di, ai]
+    beta, sigma0 = p.block[:, 0], p.block[:, p.names.index("sigma0")]
     picks = rng.choice(total, size=n_draws, replace=False)
     pairs = []
     greater = 0
     negative = 0
     for idx in picks:
-        # pooled draw idx is draw i of chain c; read it where it is stored
+        # pooled draw idx is draw i of chain c; copy each strided effect row once, then gather from it
         c, i = divmod(int(idx), p.draws_per_chain)
-        chain = p.chains[c]  # copy each strided effect row once, then gather from it
-        nu = chain.beta[i] + chain.alpha[i].copy()[ai] + chain.delta[i].copy()[di]
-        s = chain.sigma0[i]
+        nu = beta[c, i] + p.alpha[c, :, i].copy()[ai] + p.delta[c, :, i].copy()[di]
+        s = sigma0[c, i]
         t_real = float(((y - nu) ** 2).sum() / (s * s))
         y_rep = nu + rng.normal(0.0, s, size=nu.shape)
         t_rep = float(((y_rep - nu) ** 2).sum() / (s * s))

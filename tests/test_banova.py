@@ -427,11 +427,44 @@ class TestBalancedSweep:
         assert len(scores) == 2 * (1 + 4 + 12 + 3) + 6
         assert max(scores.values()) <= 4.5, scores
 
+    def test_memory_does_not_grow_with_kept_draws(self):
+        # a complete 5 x 60 table: a chunk holds the normals of 963 kept sweeps,
+        # fewer than either run keeps; the draws block is a mapping, which
+        # tracemalloc does not count.  Labels sort as given, so no remap copy
+        rng = np.random.default_rng(24)
+        values = 0.25 + rng.normal(0, 0.03, 5) + rng.normal(0, 0.08, (60, 1)) + rng.normal(0, 0.02, (60, 5))
+        m = AggregatedMatrix([f"a{i}" for i in range(5)], [f"d{i:02d}" for i in range(60)], values,
+                             np.ones(values.shape, dtype=bool))
+        spec = build_model(m)
+        # pinned scales leave the sweep, its chunk and the kept writes as they
+        # are and skip the scale draws, whose float allocations tracemalloc
+        # makes slow.  CPython 3.11 finds each traced allocation's line by a
+        # scan of its function's line table until the function has run under a
+        # trace function once; one short traced run makes the measured runs
+        # ~8x faster
+        pins = {"fixed_sigma0": 0.02, "fixed_sigma_a": 0.03, "fixed_sigma_d": 0.08}
+        sys.settrace(lambda *event: None)
+        try:
+            run_chains(spec, m, McmcConfig(chains=2, burn_in=0, adaptation=0, kept=2), seed=1)
+        finally:
+            sys.settrace(None)
+        peaks = {}
+        for kept in (2_500, 25_000):
+            tracemalloc.start()
+            try:
+                run_chains(spec, m, McmcConfig(chains=2, burn_in=0, adaptation=0, kept=kept, **pins), seed=1)
+                peaks[kept] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[25_000] <= peaks[2_500] + 2**18, peaks
+
 
 def reference_chain(spec, y, present, cfg, seed, kept, after_sweep=None):
-    """The sweep as plain, unfused numpy: the statement ``banova._run_chain``
+    """Both sweeps as plain, unfused numpy: the statement ``banova._run_chain``
     must agree with, to rounding.  Same conditionals, same order, same random
-    stream; every weighted sum is taken of W = lam / sigma0^2 as written.  It
+    stream.  The general sweep takes every weighted sum of W = lam / sigma0^2
+    as written; the balanced sweep (normal, complete) forms each block of
+    centred effects as a vector and takes its sums of squares from it.  It
     takes no ``after_sweep`` hook."""
     assert after_sweep is None, "reference_chain takes no after_sweep hook"
     rng = np.random.default_rng(seed)
@@ -439,6 +472,16 @@ def reference_chain(spec, y, present, cfg, seed, kept, after_sweep=None):
     mask = present.astype(float)
     n = int(present.sum())
     robust = spec.variant == "robust"
+    balanced = not robust and bool(present.all())
+    y_bar = y.mean()
+    col, row = y.mean(axis=0) - y_bar, y.mean(axis=1) - y_bar
+    within = float(((y - y_bar - col - row[:, None]) ** 2).sum())
+
+    def centred(means, z, prec_data, prec_prior):
+        """Centred effects k means + (z - mean(z))/sqrt(prec), and |means - effects|^2."""
+        prec = prec_data + prec_prior
+        effects = prec_data / prec * means + (z - z.mean()) / math.sqrt(prec)
+        return effects, float(((means - effects) ** 2).sum())
 
     beta = spec.y_mean
     alpha = np.zeros(n_alg)
@@ -472,35 +515,53 @@ def reference_chain(spec, y, present, cfg, seed, kept, after_sweep=None):
         inv_s0sq = 1.0 / (sigma0 * sigma0)
         z = rng.standard_normal(1 + n_alg + n_ds + 2)
 
-        prec = sum_l * inv_s0sq + beta_prec0
-        swr = sum_ly - np.dot(col_l, alpha) - np.dot(row_l, delta)
-        mean = (swr * inv_s0sq + spec.beta_mean * beta_prec0) / prec
-        beta = float(mean + z[0] / math.sqrt(prec))
+        if balanced:
+            alpha, dev_a = centred(col, z[1 : 1 + n_alg], n_ds * inv_s0sq, 1.0 / sigma_a**2)
+            delta, dev_d = centred(row, z[1 + n_alg : -2], n_alg * inv_s0sq, 1.0 / sigma_d**2)
+            # (beta, mean(alpha), mean(delta)): their sum s given y_bar, then
+            # mean(delta) and mean(alpha) given s, all in precisions
+            p_a, p_d, p_y = n_alg / sigma_a**2, n_ds / sigma_d**2, n * inv_s0sq
+            e2 = p_a * p_d + beta_prec0 * (p_a + p_d)
+            prec = beta_prec0 * p_a * p_d / e2 + p_y
+            s = spec.beta_mean + (p_y * (y_bar - spec.beta_mean) + z[0] * math.sqrt(prec)) / prec
+            d_bar = (p_a * beta_prec0 * (s - spec.beta_mean) + z[-2] * math.sqrt(e2 * (p_a + beta_prec0))) / e2
+            a_bar = (beta_prec0 * (s - spec.beta_mean - d_bar) + z[-1] * math.sqrt(p_a + beta_prec0)) / (
+                p_a + beta_prec0)
+            beta = float(s - a_bar - d_bar)
+            alpha = alpha + a_bar
+            delta = delta + d_bar
+            ss = within + n_ds * dev_a + n_alg * dev_d + n * (y_bar - s) ** 2
+        else:
+            prec = sum_l * inv_s0sq + beta_prec0
+            swr = sum_ly - np.dot(col_l, alpha) - np.dot(row_l, delta)
+            mean = (swr * inv_s0sq + spec.beta_mean * beta_prec0) / prec
+            beta = float(mean + z[0] / math.sqrt(prec))
 
-        prec_a = col_l * inv_s0sq + 1.0 / (sigma_a * sigma_a)
-        swr_a = (col_ly - beta * col_l - np.dot(delta, lam)) * inv_s0sq
-        alpha = swr_a / prec_a + z[1 : 1 + n_alg] / np.sqrt(prec_a)
+            prec_a = col_l * inv_s0sq + 1.0 / (sigma_a * sigma_a)
+            swr_a = (col_ly - beta * col_l - np.dot(delta, lam)) * inv_s0sq
+            alpha = swr_a / prec_a + z[1 : 1 + n_alg] / np.sqrt(prec_a)
 
-        prec_d = row_l * inv_s0sq + 1.0 / (sigma_d * sigma_d)
-        swr_d = (row_ly - beta * row_l - np.dot(lam, alpha)) * inv_s0sq
-        delta = swr_d / prec_d + z[1 + n_alg : -2] / np.sqrt(prec_d)
+            prec_d = row_l * inv_s0sq + 1.0 / (sigma_d * sigma_d)
+            swr_d = (row_ly - beta * row_l - np.dot(lam, alpha)) * inv_s0sq
+            delta = swr_d / prec_d + z[1 + n_alg : -2] / np.sqrt(prec_d)
 
-        t_prec = n_alg / sigma_a**2 + beta_prec0
-        t_mean = (alpha.sum() / sigma_a**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = float(t_mean + z[-2] / math.sqrt(t_prec))
-        beta += t
-        alpha -= t
-        t_prec = n_ds / sigma_d**2 + beta_prec0
-        t_mean = (delta.sum() / sigma_d**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
-        t = float(t_mean + z[-1] / math.sqrt(t_prec))
-        beta += t
-        delta -= t
+            t_prec = n_alg / sigma_a**2 + beta_prec0
+            t_mean = (alpha.sum() / sigma_a**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
+            t = float(t_mean + z[-2] / math.sqrt(t_prec))
+            beta += t
+            alpha -= t
+            t_prec = n_ds / sigma_d**2 + beta_prec0
+            t_mean = (delta.sum() / sigma_d**2 + (spec.beta_mean - beta) * beta_prec0) / t_prec
+            t = float(t_mean + z[-1] / math.sqrt(t_prec))
+            beta += t
+            delta -= t
 
-        resid = y - (beta + alpha) - delta[:, None]
-        r2 = resid * resid
+            resid = y - (beta + alpha) - delta[:, None]
+            r2 = resid * resid
+            ss = float(np.vdot(lam, r2))
 
         if cfg.fixed_sigma0 is None:
-            ss = max(float(np.vdot(lam, r2)), 1e-300)
+            ss = max(ss, 1e-300)
             sigma0 = 1.0 / math.sqrt(_truncated_gamma(rng, (n - 1) / 2.0, ss / 2.0, tau_lo, tau_hi))
 
         if cfg.fixed_sigma_a is None:
@@ -551,22 +612,43 @@ _SWEEP_CASES = {
 
 
 class TestReferenceSweep:
-    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
-    @pytest.mark.parametrize("variant", ["normal", "robust"])
-    def test_sweep_agrees_with_the_reference_chain(self, variant, case, monkeypatch):
-        # a 4 x 9 table with one missing cell; every draw of every column
-        rng = np.random.default_rng(21)
-        m, _ = synthetic_matrix(rng, 4, 9)
-        m.values[3, 2] = np.nan
-        m.mask[3, 2] = False
-        spec = build_model(m, variant)
-        cfg = McmcConfig(chains=2, burn_in=40, adaptation=40, kept=150, **_SWEEP_CASES[case])
+    @staticmethod
+    def assert_agrees(m, spec, cfg, monkeypatch):
+        """Every draw of every column of ``run_chains`` within rounding of the reference."""
         fused = run_chains(spec, m, cfg, seed=17)
         monkeypatch.setattr(banova, "_run_chain", reference_chain)
         plain = run_chains(spec, m, cfg, seed=17)
         assert fused.meta["slice"] == plain.meta["slice"]
         for (name, got), (_, want) in zip(fused.scalar_chains(), plain.scalar_chains()):
             assert (np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want))).all(), name
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    @pytest.mark.parametrize("variant", ["normal", "robust"])
+    def test_sweep_agrees_with_the_reference_chain(self, variant, case, monkeypatch):
+        # a 4 x 9 table with one missing cell: the general sweep
+        rng = np.random.default_rng(21)
+        m, _ = synthetic_matrix(rng, 4, 9)
+        m.values[3, 2] = np.nan
+        m.mask[3, 2] = False
+        cfg = McmcConfig(chains=2, burn_in=40, adaptation=40, kept=150, **_SWEEP_CASES[case])
+        self.assert_agrees(m, build_model(m, variant), cfg, monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(set(_SWEEP_CASES) - {"fixed_df"}))
+    def test_balanced_sweep_agrees_with_the_reference_chain(self, case, monkeypatch):
+        # the complete 4 x 9 table under the normal variant: the balanced sweep,
+        # whose 150 kept draws span one chunk of effects written at the end
+        m, _ = synthetic_matrix(np.random.default_rng(21), 4, 9)
+        spec = build_model(m, "normal")
+        assert banova._balanced(spec, m.mask)
+        cfg = McmcConfig(chains=2, burn_in=40, adaptation=40, kept=150, **_SWEEP_CASES[case])
+        self.assert_agrees(m, spec, cfg, monkeypatch)
+
+    def test_balanced_sweep_agrees_across_chunks(self, monkeypatch):
+        # chunks of 7 kept sweeps: 21 full ones and a last of 3 per chain
+        monkeypatch.setattr(banova, "_SLICE_DRAWS", 7 * 2 * (1 + 4 + 9 + 2))
+        m, _ = synthetic_matrix(np.random.default_rng(21), 4, 9)
+        cfg = McmcConfig(chains=2, burn_in=40, adaptation=40, kept=150, thinning=2)
+        self.assert_agrees(m, build_model(m, "normal"), cfg, monkeypatch)
 
 
 class TestTruncatedGamma:

@@ -81,7 +81,7 @@ CASES = _cases()
 # complete, so its case pins the balanced sweep; errors.csv has a missing
 # cell, so the other two pin the general one.
 BLOCK_SHA256 = {
-    "bayes-complete-csv": "149947980eed01fad0541eca3a46492326127a923bf04cb4b3d484b564fa3d42",
+    "bayes-complete-csv": "684ce4bab75b0a536d242a8101e7d2c8330fb865aff77bcb144d1993b2052dc1",
     "bayes-csv": "7f9f7784ac8b2108841985bd45ccdd5848b065c1127022406d02ccaa48acf11e",
     "bayes-robust-csv": "0f9710d58d2dc2afa765251ee006ecd8a5f02f99dc0f7f435c46b31cf4056133",
 }
